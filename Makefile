@@ -6,7 +6,7 @@ GO ?= go
 BENCH_SNAPSHOT ?= BENCH_pr9.json
 BENCH_THRESHOLD ?= 15
 
-.PHONY: all build test vet lint race bench bench-check bench-serving bench-smoke examples staticcheck
+.PHONY: all build test vet lint race bench bench-check bench-serving bench-smoke bench-module examples staticcheck
 
 all: build lint test
 
@@ -27,6 +27,10 @@ vet:
 lint: bin/orchestralint
 	$(GO) vet ./...
 	$(GO) vet -vettool=bin/orchestralint ./...
+	@# The pre-shard bus surface (PR 13 deleted it) must not grow back.
+	@if grep -rnE 'FetchSince|CursorFromTotal|AdaptBus|LegacyBus|"/since"' \
+		--include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . ; then \
+		echo "lint: removed bus surface reappeared (see above)"; exit 1; fi
 
 bin/orchestralint: FORCE
 	$(GO) build -o bin/orchestralint ./cmd/orchestralint
@@ -59,6 +63,14 @@ bench-serving:
 # bench-smoke executes every benchmark once so bench code cannot rot.
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
+
+# bench-module covers the repository benchmark (bench/, BENCHMARK.json):
+# it is a module of its own, so the root ./... patterns never build it
+# and an API deletion could break it silently.
+bench-module:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+	bash bench/run.sh -quick
 
 examples:
 	for ex in quickstart federation incremental provexplorer bioshare durability evolution; do \

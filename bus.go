@@ -30,18 +30,6 @@ type BusReader = core.BusReader
 // streams each publication to the caller as it is appended.
 type BusWatcher = core.BusWatcher
 
-// LegacyBus is the pre-sharding bus shape (Append + scalar FetchSince).
-//
-// Deprecated: implement PublicationBus; AdaptBus bridges existing
-// implementations in the meantime.
-type LegacyBus = core.LegacyBus
-
-// AdaptBus lifts a legacy Append/FetchSince bus into the sharded
-// PublicationBus interface (positions are then unknown and cursors
-// scalar, which cursor folding handles). A bus that already implements
-// PublicationBus is returned unchanged.
-func AdaptBus(b LegacyBus) PublicationBus { return core.AdaptBus(b) }
-
 // Cursor is a typed bus position: a total publication count plus the
 // per-shard breakdown push streaming resumes from. The zero Cursor is
 // the beginning of the bus; String/ParseCursor give the durable form.
@@ -50,11 +38,6 @@ type Cursor = core.Cursor
 // ParseCursor parses Cursor.String's durable form ("" parses to the
 // zero Cursor).
 func ParseCursor(s string) (Cursor, error) { return core.ParseCursor(s) }
-
-// CursorFromTotal builds a scalar Cursor from a bare publication
-// count, for callers migrating persisted int cursors; the first pull
-// fetch upgrades it to an exact sharded position.
-func CursorFromTotal(n int) Cursor { return core.CursorFromTotal(n) }
 
 // Delta is one publication with its position on the owning peer's
 // shard — the unit Subscribe streams and Fetch returns.
@@ -71,26 +54,16 @@ type MemoryBus = core.MemoryBus
 // explicitly to share a bus between several embedded Systems.
 func NewMemoryBus() *MemoryBus { return core.NewMemoryBus() }
 
-// FileBus is a durable PublicationBus: an in-memory publication
-// sequence mirrored by an append-only log file, fsynced before a
-// publication becomes fetchable. Opening the file replays earlier
-// runs' publications (repairing a tail frame torn by a crash
-// mid-append), so cursors persisted by WithPersistence stay valid
-// across restarts. A System built with WithPersistence and no WithBus
-// gets one automatically, co-located in the state directory; open one
-// explicitly to share a durable bus between embedded Systems.
-type FileBus = logstore.Bus
-
-// OpenFileBus opens (or creates) a durable publication bus backed by
-// the log file at path.
-func OpenFileBus(path string) (*FileBus, error) { return logstore.OpenBus(path) }
-
-// ShardedFileBus is the durable sharded bus: one append-only segment
-// per publishing peer under a directory, appended concurrently and
-// merged into one global order by a per-publication sequence number.
-// It implements the full capability set (append, read, watch). A
-// System built with WithPersistence and no WithBus gets one
-// automatically, co-located in the state directory.
+// ShardedFileBus is the durable bus: one append-only segment per
+// publishing peer under a directory, appended concurrently and merged
+// into one global order by a per-publication sequence number; a
+// publication is fsynced before it becomes fetchable. Opening the
+// directory replays earlier runs' publications (repairing a tail frame
+// torn by a crash mid-append), so cursors persisted by WithPersistence
+// stay valid across restarts. It implements the full capability set
+// (append, read, watch). A System built with WithPersistence and no
+// WithBus gets one automatically, co-located in the state directory;
+// open one explicitly to share a durable bus between embedded Systems.
 type ShardedFileBus = logstore.ShardedBus
 
 // OpenShardedFileBus opens (or creates) a durable sharded bus under
@@ -112,8 +85,9 @@ type HTTPBus = share.Bus
 func NewHTTPBus(baseURL string) *HTTPBus { return share.NewBus(baseURL) }
 
 // BusServer is the service side of the HTTP bus: an http.Handler
-// speaking the publication wire protocol (POST /publish, GET /since),
-// with optional spec validation and durable append-only persistence.
+// speaking the publication wire protocol (POST /publish, GET /fetch,
+// /horizon, /watch), with optional spec validation and durable
+// append-only persistence.
 type BusServer struct {
 	srv   *share.Server
 	store *logstore.Store

@@ -44,7 +44,7 @@ func statsFromStateDir(dir string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "  spec fingerprint  %s\n", fp)
 	if info.BusLen >= 0 {
-		fmt.Fprintf(out, "  bus               %d publications (bus.olg)\n", info.BusLen)
+		fmt.Fprintf(out, "  bus               %d publications (%s)\n", info.BusLen, info.BusName)
 	} else {
 		fmt.Fprintf(out, "  bus               external (no co-located log)\n")
 	}

@@ -26,7 +26,7 @@ func TestStatsStateDir(t *testing.T) {
 	for _, want := range []string{
 		"state directory " + state,
 		"spec fingerprint",
-		"3 publications (bus.olg)", // the spec file's three peer-contiguous edit runs
+		"3 publications (bus.shards)", // the spec file's three peer-contiguous edit runs
 		"VIEW", "CURSOR", "PENDING", "SNAPSHOT AGE",
 		"(global)", // the default -owner "" view was checkpointed
 	} {

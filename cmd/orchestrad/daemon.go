@@ -219,11 +219,11 @@ func (d *daemon) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if d.sys != nil {
 		// Round-trips the daemon's own HTTP bus — the same path the
 		// exchange loop uses.
-		n, err := d.sys.BusLen(r.Context())
+		horizon, err := d.sys.BusHorizon(r.Context())
 		if err != nil {
 			checks = append(checks, check{"bus", false, err.Error()})
 		} else {
-			checks = append(checks, check{"bus", true, fmt.Sprintf("%d publications", n)})
+			checks = append(checks, check{"bus", true, fmt.Sprintf("%d publications", horizon.Total())})
 		}
 		if _, err := d.sys.PersistedViews(); err != nil {
 			checks = append(checks, check{"state", false, err.Error()})
@@ -456,7 +456,7 @@ func httpPattern(path string) string {
 		return "/debug/pprof"
 	}
 	switch path {
-	case "/publish", "/since", "/fetch", "/horizon", "/watch",
+	case "/publish", "/fetch", "/horizon", "/watch",
 		"/healthz", "/readyz", "/metrics",
 		"/debug/trace", "/debug/slowqueries", "/instance", "/query",
 		"/spec", "/spec/mapping":

@@ -20,8 +20,7 @@
 // over A's bus. The follower subscribes to A's delta stream
 // (GET /watch) and imports each publication as it is pushed, so it
 // converges with sub-second latency; the -refresh ticker remains as a
-// safety net, and against an old node without streaming endpoints the
-// follower degrades to polling automatically.
+// safety net across stream outages.
 //
 // With -admin-token (requires -spec), the daemon additionally serves
 // authenticated spec-evolution endpoints, sharing one token gate with
@@ -80,8 +79,8 @@
 // drain, the view takes a final checkpoint, and the publication log
 // closes on a frame boundary.
 //
-// Protocol: POST /publish, GET /since?cursor=N, GET /fetch?cursor=C,
-// GET /horizon, GET /watch?cursor=C (see internal/share).
+// Protocol: POST /publish, GET /fetch?cursor=C, GET /horizon,
+// GET /watch?cursor=C (see internal/share).
 package main
 
 import (

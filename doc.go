@@ -28,8 +28,8 @@
 // The bus surface is three composable capabilities — BusAppender,
 // BusReader, and BusWatcher (push subscriptions) — with PublicationBus
 // their union; WithBus accepts any appender+reader and detects the
-// watcher capability, so pull-only implementations (wrap them with
-// AdaptBus) still work. The default in-memory bus runs everything
+// watcher capability, so pull-only implementations still work. The
+// default in-memory bus runs everything
 // embedded in one process; NewHTTPBus connects the identical
 // application code to a shared publication service (BusServer, run
 // standalone as cmd/orchestrad), giving the paper's federated
@@ -38,19 +38,16 @@
 // Exchange call.
 //
 // A bus position is the opaque, shard-aware Cursor (String/ParseCursor
-// give its durable form). The bare-int cursor surface that predates
-// sharding — FetchSince, BusLen, the int cursor in ViewStat — remains
-// as deprecated wrappers over Cursor.Total(): sound for totals and
-// lag, but a scalar position cannot prove per-shard contiguity, so
-// systems restored from one take a single pull exchange before push
-// import resumes. New code should hold Cursor values.
+// give its durable form); Cursor.Total is the publication count it
+// stands after, which is what the int cursors in ViewStat and
+// ViewState report.
 //
 // WithPersistence(dir) makes a System crash-safe: views are
 // checkpointed — checksummed snapshot plus bus cursor, written
 // atomically — into a state directory, the default bus is replaced by
-// a durable log co-located there, and New recovers every persisted
-// view, so the next Exchange replays only the publications past its
-// checkpoint (see examples/durability).
+// a durable sharded log co-located there, and New recovers every
+// persisted view, so the next Exchange replays only the publications
+// past its checkpoint (see examples/durability).
 //
 // The spec is not frozen at New: AddPeer, AddMapping, RemoveMapping,
 // SetTrust, and ApplyDiff evolve the running confederation, validating

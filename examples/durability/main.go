@@ -101,7 +101,11 @@ func main() {
 	if bus.RepairedBytes() == 0 {
 		log.Fatal("expected the bus log's torn tail to need repair")
 	}
-	fmt.Printf("bus log: repaired %d-byte torn tail; %d publications survived\n", bus.RepairedBytes(), bus.Len())
+	horizon, err := bus.Horizon(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("bus log: repaired %d-byte torn tail; %d publications survived\n", bus.RepairedBytes(), horizon.Total())
 	counting := &countingBus{bus: bus}
 	sys, err := orchestra.New(spec, orchestra.WithBus(counting), orchestra.WithPersistence(dir))
 	if err != nil {

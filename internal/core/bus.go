@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -73,68 +72,6 @@ type PublicationBus interface {
 	BusReader
 }
 
-// LegacyBus is the pre-shard bus shape: scalar cursors, no horizon, no
-// subscriptions. Deprecated: implement PublicationBus; AdaptBus wraps
-// remaining implementations for one release.
-type LegacyBus interface {
-	Append(ctx context.Context, peer string, log EditLog) error
-	// FetchSince returns every publication at or after cursor together
-	// with the new cursor (the sequence length at read time).
-	FetchSince(ctx context.Context, cursor int) ([]Publication, int, error)
-}
-
-// AdaptBus lifts a LegacyBus to the typed-cursor PublicationBus
-// interface. Positions are reconstructed by folding fetches forward
-// from the caller's cursor, which is accurate whenever consumption
-// started from an exact position; fetches from a migrated scalar
-// position yield deltas with unknown (zero) shard positions, which
-// push-side gap detection treats as "must pull" — correct, just not
-// shard-attributed. If the bus already implements PublicationBus it is
-// returned unchanged.
-func AdaptBus(b LegacyBus) PublicationBus {
-	if pb, ok := b.(PublicationBus); ok {
-		return pb
-	}
-	return adaptedBus{legacy: b}
-}
-
-type adaptedBus struct{ legacy LegacyBus }
-
-func (a adaptedBus) Append(ctx context.Context, peer string, log EditLog) error {
-	return a.legacy.Append(ctx, peer, log)
-}
-
-func (a adaptedBus) Fetch(ctx context.Context, from Cursor) ([]Delta, Cursor, error) {
-	pubs, next, err := a.legacy.FetchSince(ctx, from.Total())
-	if err != nil {
-		return nil, from, err
-	}
-	cur := from
-	deltas := make([]Delta, len(pubs))
-	for i, p := range pubs {
-		pos := 0
-		if n, known := cur.shardKnown(p.Peer); known {
-			pos = n + 1
-		}
-		deltas[i] = Delta{Shard: p.Peer, Pos: pos, Pub: p}
-		cur = cur.Advance(deltas[i])
-	}
-	if cur.Total() != next {
-		// Clamped (cursor past the end) or a bus that skipped entries:
-		// the fold does not describe position next, only its total does.
-		return deltas, CursorFromTotal(next), nil
-	}
-	return deltas, cur, nil
-}
-
-func (a adaptedBus) Horizon(ctx context.Context) (Cursor, error) {
-	_, n, err := a.legacy.FetchSince(ctx, math.MaxInt)
-	if err != nil {
-		return Cursor{}, err
-	}
-	return CursorFromTotal(n), nil
-}
-
 const (
 	// subscribeBuffer is each subscription channel's capacity: enough
 	// to decouple the pump from a briefly busy consumer without
@@ -168,15 +105,18 @@ func (b *MemoryBus) Append(ctx context.Context, peer string, log EditLog) error 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return b.Preload(peer, log, obs.TraceIDFromContext(ctx))
+	_, err := b.Preload(peer, log, obs.TraceIDFromContext(ctx))
+	return err
 }
 
 // Preload appends a publication with an explicit trace id — the replay
 // path for durable buses reloading persisted publications, where the
-// trace id comes from the stored frame rather than a live context.
-func (b *MemoryBus) Preload(peer string, log EditLog, traceID string) error {
+// trace id comes from the stored frame rather than a live context. It
+// returns the publication's 1-based position in the global order (the
+// bus's total once it is appended).
+func (b *MemoryBus) Preload(peer string, log EditLog, traceID string) (int, error) {
 	if peer == "" {
-		return fmt.Errorf("core: publication without peer")
+		return 0, fmt.Errorf("core: publication without peer")
 	}
 	b.mu.Lock()
 	if b.counts == nil {
@@ -185,6 +125,7 @@ func (b *MemoryBus) Preload(peer string, log EditLog, traceID string) error {
 	pos := b.counts[peer] + 1
 	b.order = append(b.order, Delta{Shard: peer, Pos: pos, Pub: Publication{Peer: peer, Log: log, TraceID: traceID}})
 	b.counts[peer] = pos
+	total := len(b.order)
 	for _, wake := range b.subs {
 		select {
 		case wake <- struct{}{}:
@@ -192,10 +133,10 @@ func (b *MemoryBus) Preload(peer string, log EditLog, traceID string) error {
 		}
 	}
 	b.mu.Unlock()
-	return nil
+	return total, nil
 }
 
-// snapshotCursor returns the exact horizon; callers hold b.mu.
+// snapshotCursor returns the horizon; callers hold b.mu.
 func (b *MemoryBus) snapshotCursor() Cursor {
 	c := Cursor{total: len(b.order)}
 	if len(b.counts) > 0 {
@@ -231,33 +172,6 @@ func (b *MemoryBus) Horizon(ctx context.Context) (Cursor, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	return b.snapshotCursor(), nil
-}
-
-// FetchSince implements the legacy scalar fetch.
-//
-// Deprecated: use Fetch with a typed Cursor.
-func (b *MemoryBus) FetchSince(ctx context.Context, cursor int) ([]Publication, int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, cursor, err
-	}
-	if cursor < 0 {
-		return nil, cursor, fmt.Errorf("core: negative cursor %d", cursor)
-	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	start := min(cursor, len(b.order))
-	out := make([]Publication, len(b.order)-start)
-	for i, d := range b.order[start:] {
-		out[i] = d.Pub
-	}
-	return out, len(b.order), nil
-}
-
-// Len returns the number of publications on the bus.
-func (b *MemoryBus) Len() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.order)
 }
 
 // Subscribe implements BusWatcher with the wake-and-pull idiom: the
@@ -353,8 +267,7 @@ func PublishTo(ctx context.Context, bus BusAppender, spec *Spec, peer string, lo
 // returns the new cursor. On error (including cancellation) the
 // returned cursor is advanced only past fully applied publications, so
 // a retry resumes where it stopped. A fully applied run returns the
-// bus's horizon, which also upgrades a migrated scalar cursor to an
-// exact one.
+// bus's horizon.
 //
 // This is the reference replay: ExchangeCoalesced imports the same run
 // as one net apply and must end observationally identical (the exchange
@@ -453,26 +366,21 @@ func ExchangeCoalesced(ctx context.Context, bus PublicationBus, v *View, from Cu
 // Gap detection makes it safe to apply deltas out of a buffer: a delta
 // is included only if its shard position is exactly the next one the
 // cursor expects (stale deltas — already consumed via an earlier pull —
-// are skipped). If any delta's position is unknown, or a gap appears
-// (the buffer overflowed, or the cursor was migrated from a scalar
-// position and cannot judge the shard), ExchangeDeltas returns
-// handled=false with the cursor unadvanced and the caller falls back
-// to a pull. Like ExchangeCoalesced the apply is all-or-nothing: on
-// apply error the returned cursor is from.
+// are skipped). If a gap appears (deltas were dropped, e.g. the buffer
+// overflowed) or a delta carries no valid position, ExchangeDeltas
+// returns handled=false with the cursor unadvanced and the caller falls
+// back to a pull. Like ExchangeCoalesced the apply is all-or-nothing:
+// on apply error the returned cursor is from.
 func ExchangeDeltas(ctx context.Context, v *View, from Cursor, deltas []Delta, strategy DeletionStrategy) (Cursor, ApplyStats, bool, error) {
 	cur := from
 	run := make([]Delta, 0, len(deltas))
 	for _, d := range deltas {
-		pos, known := cur.shardKnown(d.Shard)
-		if !known || d.Pos <= 0 {
-			return from, ApplyStats{}, false, nil
-		}
-		switch {
-		case d.Pos <= pos:
-			// Already consumed (a pull raced ahead of the subscription).
+		switch pos := cur.Shard(d.Shard); {
 		case d.Pos == pos+1:
 			run = append(run, d)
 			cur = cur.Advance(d)
+		case d.Pos > 0 && d.Pos <= pos:
+			// Already consumed (a pull raced ahead of the subscription).
 		default:
 			return from, ApplyStats{}, false, nil
 		}
@@ -492,16 +400,6 @@ func ExchangeDeltas(ctx context.Context, v *View, from Cursor, deltas []Delta, s
 		}
 	}
 	return cur, stats, true, nil
-}
-
-// BusLen returns the current length of a bus's publication sequence
-// without transferring publication bodies.
-//
-// Deprecated: use BusReader.Horizon, whose Cursor carries the
-// per-shard breakdown as well.
-func BusLen(ctx context.Context, bus PublicationBus) (int, error) {
-	c, err := bus.Horizon(ctx)
-	return c.Total(), err
 }
 
 // ValidateLog checks that an edit log is legal for a peer under a spec:

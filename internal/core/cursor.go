@@ -17,16 +17,14 @@ import (
 // publications each owning peer contributed — serves push-side gap
 // detection, per-shard durable segments, and the shard lag gauges.
 //
-// The zero Cursor is the exact start-of-bus position. A Cursor restored
-// from a pre-shard manifest knows only its total (Exact reports false);
-// the first pull fetch against any bus returns the bus's exact horizon,
-// which completes the migration with no replay.
+// The zero Cursor is the start of the bus. Every Cursor knows its
+// per-shard breakdown: an absent shard entry means none of that shard's
+// publications have been consumed.
 //
 // Cursor is a value type: Advance returns a new Cursor, and a Cursor
 // may be copied freely.
 type Cursor struct {
 	total  int
-	scalar bool // per-shard breakdown unknown (migrated legacy position)
 	shards map[string]int
 }
 
@@ -34,43 +32,13 @@ type Cursor struct {
 // evolve; ParseCursor rejects unknown versions.
 const cursorVersion = "v1"
 
-// CursorFromTotal returns the Cursor for a bare publication count with
-// an unknown per-shard breakdown — the one-shot migration path for
-// scalar cursors persisted before sharding. For n == 0 the position is
-// exactly the start of the bus, so the result is exact.
-func CursorFromTotal(n int) Cursor {
-	if n == 0 {
-		return Cursor{}
-	}
-	return Cursor{total: n, scalar: true}
-}
-
 // Total reports how many publications of the global order this cursor
 // has consumed. By the prefix invariant this is also the fetch offset.
 func (c Cursor) Total() int { return c.total }
 
-// Exact reports whether the per-shard breakdown is known. Cursors
-// produced by Fetch, Subscribe, or Advance from an exact start are
-// exact; only positions migrated from a pre-shard manifest are not.
-func (c Cursor) Exact() bool { return !c.scalar }
-
 // Shard reports how many publications of the named shard (owning peer)
-// this cursor has consumed, or 0 if unknown.
+// this cursor has consumed.
 func (c Cursor) Shard(name string) int { return c.shards[name] }
-
-// shardKnown reports the consumed count for a shard and whether that
-// count is authoritative. On an exact cursor every shard is known (an
-// absent entry means zero consumed); on a scalar cursor only shards
-// recorded by a later Advance are.
-func (c Cursor) shardKnown(name string) (int, bool) {
-	if n, ok := c.shards[name]; ok {
-		return n, true
-	}
-	if c.scalar {
-		return 0, false
-	}
-	return 0, true
-}
 
 // Shards returns the shard names with a nonzero recorded position, in
 // sorted order.
@@ -86,13 +54,12 @@ func (c Cursor) Shards() []string {
 	return names
 }
 
-// IsZero reports whether this is the exact start-of-bus position.
-func (c Cursor) IsZero() bool { return c.total == 0 && !c.scalar }
+// IsZero reports whether this is the start-of-bus position.
+func (c Cursor) IsZero() bool { return c.total == 0 }
 
-// Equal reports positional equality: same total, same exactness, same
-// recorded shard breakdown.
+// Equal reports positional equality: same total, same shard breakdown.
 func (c Cursor) Equal(o Cursor) bool {
-	if c.total != o.total || c.scalar != o.scalar || len(c.shards) != len(o.shards) {
+	if c.total != o.total || len(c.shards) != len(o.shards) {
 		return false
 	}
 	for name, n := range c.shards {
@@ -103,37 +70,28 @@ func (c Cursor) Equal(o Cursor) bool {
 	return true
 }
 
-// Advance returns the cursor after consuming one more delta. On an
-// exact cursor the shard entry moves to the delta's position; a delta
-// with an unknown position (Pos <= 0, produced by legacy-bus adapters)
-// degrades the result to scalar, since the breakdown can no longer be
-// trusted. The receiver is not modified.
+// Advance returns the cursor after consuming one more delta: the total
+// grows by one and the delta's shard entry moves to its position. The
+// receiver is not modified.
 func (c Cursor) Advance(d Delta) Cursor {
-	next := Cursor{total: c.total + 1, scalar: c.scalar}
+	next := Cursor{total: c.total + 1}
 	next.shards = make(map[string]int, len(c.shards)+1)
 	for name, n := range c.shards {
 		next.shards[name] = n
 	}
-	if d.Pos > 0 {
-		next.shards[d.Shard] = d.Pos
-	} else {
-		next.scalar = true
-	}
+	next.shards[d.Shard] = d.Pos
 	return next
 }
 
-// String renders the durable form, e.g. "v1:7;PGUS=4,PuBio=3" for an
-// exact cursor (the shard list may be empty but the semicolon is
-// always present) and "v1:7" for a scalar one. Shard names are
-// query-escaped so arbitrary peer names round-trip.
+// String renders the durable form, e.g. "v1:7;PGUS=4,PuBio=3" (the
+// shard list is empty at the start of the bus but the semicolon is
+// always present). Shard names are query-escaped so arbitrary peer
+// names round-trip.
 func (c Cursor) String() string {
 	var b strings.Builder
 	b.WriteString(cursorVersion)
 	b.WriteByte(':')
 	b.WriteString(strconv.Itoa(c.total))
-	if c.scalar {
-		return b.String()
-	}
 	b.WriteByte(';')
 	for i, name := range c.Shards() {
 		if i > 0 {
@@ -147,8 +105,9 @@ func (c Cursor) String() string {
 }
 
 // ParseCursor parses the durable form produced by String. The empty
-// string parses to the zero (exact start) cursor, so absent manifest
-// fields and unset flags need no special casing.
+// string and "v1:0" parse to the zero cursor, so absent manifest fields
+// and unset flags need no special casing; any other total must come
+// with the shard breakdown that adds up to it.
 func ParseCursor(s string) (Cursor, error) {
 	if s == "" {
 		return Cursor{}, nil
@@ -157,41 +116,39 @@ func ParseCursor(s string) (Cursor, error) {
 	if !ok {
 		return Cursor{}, fmt.Errorf("core: cursor %q: unknown version", s)
 	}
-	totalPart, shardPart, exact := strings.Cut(rest, ";")
+	totalPart, shardPart, _ := strings.Cut(rest, ";")
 	total, err := strconv.Atoi(totalPart)
 	if err != nil || total < 0 {
 		return Cursor{}, fmt.Errorf("core: cursor %q: bad total", s)
 	}
-	c := Cursor{total: total, scalar: !exact}
-	if c.scalar && total == 0 {
-		c.scalar = false // "v1:0" and "" both mean the exact start
-	}
-	if !exact || shardPart == "" {
-		return c, nil
-	}
-	c.shards = make(map[string]int)
+	c := Cursor{total: total}
 	sum := 0
-	for _, entry := range strings.Split(shardPart, ",") {
-		namePart, posPart, ok := strings.Cut(entry, "=")
-		if !ok {
-			return Cursor{}, fmt.Errorf("core: cursor %q: bad shard entry %q", s, entry)
+	if shardPart != "" {
+		c.shards = make(map[string]int)
+		for _, entry := range strings.Split(shardPart, ",") {
+			namePart, posPart, ok := strings.Cut(entry, "=")
+			if !ok {
+				return Cursor{}, fmt.Errorf("core: cursor %q: bad shard entry %q", s, entry)
+			}
+			name, err := url.QueryUnescape(namePart)
+			if err != nil {
+				return Cursor{}, fmt.Errorf("core: cursor %q: bad shard name %q", s, namePart)
+			}
+			pos, err := strconv.Atoi(posPart)
+			if err != nil || pos <= 0 {
+				return Cursor{}, fmt.Errorf("core: cursor %q: bad shard position %q", s, posPart)
+			}
+			if _, dup := c.shards[name]; dup {
+				return Cursor{}, fmt.Errorf("core: cursor %q: duplicate shard %q", s, name)
+			}
+			c.shards[name] = pos
+			sum += pos
 		}
-		name, err := url.QueryUnescape(namePart)
-		if err != nil {
-			return Cursor{}, fmt.Errorf("core: cursor %q: bad shard name %q", s, namePart)
-		}
-		pos, err := strconv.Atoi(posPart)
-		if err != nil || pos <= 0 {
-			return Cursor{}, fmt.Errorf("core: cursor %q: bad shard position %q", s, posPart)
-		}
-		if _, dup := c.shards[name]; dup {
-			return Cursor{}, fmt.Errorf("core: cursor %q: duplicate shard %q", s, name)
-		}
-		c.shards[name] = pos
-		sum += pos
 	}
-	if sum > total {
-		return Cursor{}, fmt.Errorf("core: cursor %q: shard positions sum to %d > total %d", s, sum, total)
+	// A position is its shard breakdown: a bare total ("v1:7") or a
+	// partial one does not name a place on the bus.
+	if sum != total {
+		return Cursor{}, fmt.Errorf("core: cursor %q: shard positions sum to %d, total is %d", s, sum, total)
 	}
 	return c, nil
 }
@@ -199,8 +156,7 @@ func ParseCursor(s string) (Cursor, error) {
 // Delta is one publication as delivered by a fetch or subscription:
 // the publication plus its position on its owning shard. Shard is the
 // owning peer; Pos is the 1-based position of this publication within
-// that shard's sub-sequence (Pos <= 0 means the position is unknown —
-// legacy-bus adapters cannot reconstruct it for scalar starts).
+// that shard's sub-sequence.
 type Delta struct {
 	Shard string
 	Pos   int

@@ -7,18 +7,13 @@ import (
 )
 
 // TestCursorStringParseRoundTrip pins the durable form: every cursor
-// shape — zero, scalar-migrated, exact with shards, names needing
-// escaping — must survive String → ParseCursor unchanged.
+// shape — zero, with shards, names needing escaping — must survive
+// String → ParseCursor unchanged.
 func TestCursorStringParseRoundTrip(t *testing.T) {
-	mk := func(total int, scalar bool, shards map[string]int) Cursor {
-		return Cursor{total: total, scalar: scalar, shards: shards}
-	}
 	cases := []Cursor{
 		{},
-		CursorFromTotal(7),
-		mk(3, false, map[string]int{"PGUS": 2, "PuBio": 1}),
-		mk(5, false, map[string]int{"a peer": 2, "p=q&r": 2, "müller": 1}),
-		mk(9, true, map[string]int{"PGUS": 4}), // scalar with partial knowledge renders scalar
+		{total: 3, shards: map[string]int{"PGUS": 2, "PuBio": 1}},
+		{total: 5, shards: map[string]int{"a peer": 2, "p=q&r": 2, "müller": 1}},
 	}
 	for _, c := range cases {
 		s := c.String()
@@ -26,36 +21,36 @@ func TestCursorStringParseRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParseCursor(%q): %v", s, err)
 		}
-		// A scalar cursor's partial shard knowledge is intentionally not
-		// durable (the durable form is just the total), so compare what
-		// the string form promises.
-		if got.Total() != c.Total() || got.Exact() != c.Exact() {
-			t.Errorf("round-trip %q: got total=%d exact=%v, want total=%d exact=%v",
-				s, got.Total(), got.Exact(), c.Total(), c.Exact())
-		}
-		if c.Exact() {
-			if !got.Equal(c) {
-				t.Errorf("round-trip %q: got %v, want %v", s, got, c)
-			}
+		if !got.Equal(c) {
+			t.Errorf("round-trip %q: got %v, want %v", s, got, c)
 		}
 	}
-	if _, err := ParseCursor(""); err != nil {
-		t.Errorf("empty cursor string must parse to the zero cursor: %v", err)
+	for _, s := range []string{"", "v1:0", "v1:0;"} {
+		if got, err := ParseCursor(s); err != nil || !got.IsZero() {
+			t.Errorf("ParseCursor(%q) = %v, %v; want the zero cursor", s, got, err)
+		}
+	}
+	if got, err := ParseCursor("v1:7;A=4,B=3"); err != nil || got.Total() != 7 || got.Shard("A") != 4 || got.Shard("B") != 3 {
+		t.Errorf(`ParseCursor("v1:7;A=4,B=3") = %v, %v`, got, err)
 	}
 }
 
 // TestCursorParseRejects pins the error cases: garbage must not parse
-// into a plausible position.
+// into a plausible position, and a total without the shard breakdown
+// that adds up to it is not a position.
 func TestCursorParseRejects(t *testing.T) {
 	for _, s := range []string{
 		"v0:3",         // unknown version
 		"v1:x",         // bad total
 		"v1:-1",        // negative total
+		"v1:7",         // bare total: the removed scalar form
+		"v1:7;",        // empty breakdown for a non-zero total
 		"v1:3;PGUS",    // shard entry without =
 		"v1:3;PGUS=0",  // non-positive shard position
 		"v1:3;%zz=1",   // bad escape in shard name
 		"v1:3;P=1,P=2", // duplicate shard
 		"v1:3;A=2,B=2", // shard sum exceeds total
+		"v1:3;A=1,B=1", // shard sum falls short of total
 	} {
 		if _, err := ParseCursor(s); err == nil {
 			t.Errorf("ParseCursor(%q) accepted garbage", s)
@@ -63,28 +58,18 @@ func TestCursorParseRejects(t *testing.T) {
 	}
 }
 
-// TestCursorAdvance pins Advance semantics: exact cursors track shard
-// positions; a delta with an unknown position degrades to scalar.
+// TestCursorAdvance pins Advance semantics: the total grows by one, the
+// delta's shard moves to its position, the receiver is untouched.
 func TestCursorAdvance(t *testing.T) {
 	c := Cursor{}
 	c = c.Advance(Delta{Shard: "A", Pos: 1})
 	c = c.Advance(Delta{Shard: "B", Pos: 1})
-	c = c.Advance(Delta{Shard: "A", Pos: 2})
-	if c.Total() != 3 || !c.Exact() || c.Shard("A") != 2 || c.Shard("B") != 1 {
-		t.Fatalf("advance: got %v", c)
+	d := c.Advance(Delta{Shard: "A", Pos: 2})
+	if d.Total() != 3 || d.Shard("A") != 2 || d.Shard("B") != 1 {
+		t.Fatalf("advance: got %v", d)
 	}
-	d := c.Advance(Delta{Shard: "A", Pos: 0}) // unknown position
-	if d.Total() != 4 || d.Exact() {
-		t.Fatalf("advance past unknown position must degrade to scalar: %v", d)
-	}
-	if c.Total() != 3 {
-		t.Fatal("Advance mutated its receiver")
-	}
-	if !CursorFromTotal(0).Exact() {
-		t.Fatal("CursorFromTotal(0) is the exact start of the bus")
-	}
-	if CursorFromTotal(2).Exact() {
-		t.Fatal("CursorFromTotal(2) cannot know its shard breakdown")
+	if c.Total() != 2 || c.Shard("A") != 1 {
+		t.Fatalf("Advance mutated its receiver: %v", c)
 	}
 }
 
@@ -149,8 +134,8 @@ func TestSubscribeSlowConsumerBoundedNoLoss(t *testing.T) {
 	}
 	const n = 500
 	for i := 0; i < n; i++ {
-		if err := bus.Preload("P", EditLog{Ins("R", MakeTuple(i))}, ""); err != nil {
-			t.Fatal(err)
+		if total, err := bus.Preload("P", EditLog{Ins("R", MakeTuple(i))}, ""); err != nil || total != i+1 {
+			t.Fatalf("Preload %d: total %d, err %v", i, total, err)
 		}
 	}
 	// The publisher is done and far ahead; drain slowly and verify
@@ -183,7 +168,7 @@ func TestSubscribeSlowConsumerBoundedNoLoss(t *testing.T) {
 
 // TestExchangeDeltasGapAndStale pins the push-import contract: stale
 // deltas are skipped, contiguous ones apply coalesced, and any gap or
-// unknown position refuses the batch (handled=false) so the caller
+// position-less delta refuses the batch (handled=false) so the caller
 // falls back to a pull.
 func TestExchangeDeltasGapAndStale(t *testing.T) {
 	ctx := context.Background()
@@ -220,15 +205,12 @@ func TestExchangeDeltasGapAndStale(t *testing.T) {
 		t.Fatalf("gap: handled=%v cursor=%v err=%v", handled, back, err)
 	}
 
-	// An unknown position refuses the batch.
-	unknown := mkDelta("PuBio", 0, logs["PuBio"])
-	if _, _, handled, err = ExchangeDeltas(ctx, v, next, []Delta{unknown}, DeleteProvenance); err != nil || handled {
-		t.Fatalf("unknown position: handled=%v err=%v", handled, err)
-	}
-
-	// A scalar (migrated) cursor cannot judge shard contiguity.
-	if _, _, handled, err = ExchangeDeltas(ctx, v, CursorFromTotal(2), []Delta{mkDelta("PuBio", 1, logs["PuBio"])}, DeleteProvenance); err != nil || handled {
-		t.Fatalf("scalar cursor: handled=%v err=%v", handled, err)
+	// A delta without a valid position (a malformed bus) refuses the
+	// batch rather than passing for stale.
+	for _, pos := range []int{0, -1} {
+		if _, _, handled, err = ExchangeDeltas(ctx, v, next, []Delta{mkDelta("PGUS", pos, logs["PGUS"])}, DeleteProvenance); err != nil || handled {
+			t.Fatalf("position %d: handled=%v err=%v", pos, handled, err)
+		}
 	}
 }
 

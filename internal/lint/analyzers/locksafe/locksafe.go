@@ -40,36 +40,29 @@ var Blocking = map[string]string{
 	"(orchestra/internal/core.View).Repair":        "runs maintenance fixpoints",
 	"(orchestra/internal/core.View).FullRecompute": "recomputes the instance from scratch",
 	// Exchange and bus round trips (may traverse HTTP on a remote bus).
-	"orchestra/internal/core.ExchangeInto":                "replays bus publications through maintenance fixpoints",
-	"orchestra/internal/core.ExchangeCoalesced":           "replays the pending run through maintenance fixpoints",
-	"orchestra/internal/core.ExchangeDeltas":              "applies push-delivered publications through maintenance fixpoints",
-	"orchestra/internal/core.PublishTo":                   "bus round trip",
-	"orchestra/internal/core.BusLen":                      "bus round trip",
-	"(orchestra/internal/core.BusAppender).Append":        "bus round trip",
-	"(orchestra/internal/core.BusReader).Fetch":           "bus round trip",
-	"(orchestra/internal/core.BusReader).Horizon":         "bus round trip",
-	"(orchestra/internal/core.BusWatcher).Subscribe":      "bus round trip",
-	"(orchestra/internal/core.PublicationBus).Append":     "bus round trip",
-	"(orchestra/internal/core.PublicationBus).Fetch":      "bus round trip",
-	"(orchestra/internal/core.PublicationBus).Horizon":    "bus round trip",
-	"(orchestra/internal/core.PublicationBus).FetchSince": "bus round trip",
-	"(orchestra/internal/core.PublicationBus).Len":        "bus round trip",
-	"(orchestra/internal/share.Bus).Append":               "HTTP round trip",
-	"(orchestra/internal/share.Bus).Fetch":                "HTTP round trip",
-	"(orchestra/internal/share.Bus).Horizon":              "HTTP round trip",
-	"(orchestra/internal/share.Bus).Subscribe":            "opens a streaming HTTP connection",
-	"(orchestra/internal/share.Bus).FetchSince":           "HTTP round trip",
-	"(orchestra/internal/share.Bus).Len":                  "HTTP round trip",
+	"orchestra/internal/core.ExchangeInto":             "replays bus publications through maintenance fixpoints",
+	"orchestra/internal/core.ExchangeCoalesced":        "replays the pending run through maintenance fixpoints",
+	"orchestra/internal/core.ExchangeDeltas":           "applies push-delivered publications through maintenance fixpoints",
+	"orchestra/internal/core.PublishTo":                "bus round trip",
+	"(orchestra/internal/core.BusAppender).Append":     "bus round trip",
+	"(orchestra/internal/core.BusReader).Fetch":        "bus round trip",
+	"(orchestra/internal/core.BusReader).Horizon":      "bus round trip",
+	"(orchestra/internal/core.BusWatcher).Subscribe":   "bus round trip",
+	"(orchestra/internal/core.PublicationBus).Append":  "bus round trip",
+	"(orchestra/internal/core.PublicationBus).Fetch":   "bus round trip",
+	"(orchestra/internal/core.PublicationBus).Horizon": "bus round trip",
+	"(orchestra/internal/share.Bus).Append":            "HTTP round trip",
+	"(orchestra/internal/share.Bus).Fetch":             "HTTP round trip",
+	"(orchestra/internal/share.Bus).Horizon":           "HTTP round trip",
+	"(orchestra/internal/share.Bus).Subscribe":         "opens a streaming HTTP connection",
 	// Durability (fsync under the System lock stalls every view reader).
 	"orchestra/internal/statestore.Open":                       "reads and validates the checkpoint directory",
 	"(orchestra/internal/statestore.Store).SaveView":           "writes and fsyncs a snapshot",
 	"(orchestra/internal/statestore.Store).SetSpecFingerprint": "rewrites and fsyncs the manifest",
 	"(orchestra/internal/statestore.Store).Remove":             "rewrites and fsyncs the manifest",
 	"orchestra/internal/logstore.Open":                         "replays the publication log",
-	"orchestra/internal/logstore.OpenBus":                      "replays the publication log",
 	"orchestra/internal/logstore.OpenShardedBus":               "replays every shard segment",
 	"(orchestra/internal/logstore.Store).Append":               "writes and fsyncs a log frame",
-	"(orchestra/internal/logstore.Bus).Append":                 "writes and fsyncs a log frame",
 	"(orchestra/internal/logstore.ShardedBus).Append":          "writes and fsyncs a shard frame",
 	// Observability registration and rendering (PR 7). Registering an
 	// instrument takes the registry lock and may allocate; rendering

@@ -182,7 +182,7 @@ func Open(path string) (*Store, error) {
 
 // ReadLen counts the publications in the log at path without taking
 // the writer lock, so inspection tooling (`orchestra stats`) can look
-// at a log a live Bus holds open. Appends are frame-at-a-time, so the
+// at a log a live bus holds open. Appends are frame-at-a-time, so the
 // count is always a consistent prefix — possibly one publication
 // behind the writer, and a torn tail (crash mid-append) is ignored the
 // same way Open's recovery would drop it. A missing file is an empty
@@ -256,23 +256,16 @@ func (s *Store) Append(peer string, log core.EditLog) error {
 // AppendTraced durably records a publication, stamping its lineage
 // trace id into the frame trailer (omitted when traceID is "").
 func (s *Store) AppendTraced(peer string, log core.EditLog, traceID string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.appendLocked(peer, log, traceID, 0)
+	return s.AppendSeq(peer, log, traceID, 0)
 }
 
 // AppendSeq durably records a publication stamped with its global
 // sequence number — the per-shard segment append of a sharded bus,
-// where seq restores the cross-shard total order on replay.
-func (s *Store) AppendSeq(peer string, log core.EditLog, traceID string, seq uint64) error {
+// where seq restores the cross-shard total order on replay (0 writes
+// no sequence trailer).
+func (s *Store) AppendSeq(peer string, log core.EditLog, traceID string, seq uint64) (err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.appendLocked(peer, log, traceID, seq)
-}
-
-// appendLocked is AppendTraced with s.mu already held — for callers
-// (Bus) that need the file write and a follow-up action under one lock.
-func (s *Store) appendLocked(peer string, log core.EditLog, traceID string, seq uint64) (err error) {
 	start := time.Now()
 	defer func() {
 		s.metrics.AppendSeconds.Observe(time.Since(start).Seconds())

@@ -228,11 +228,11 @@ func TestTornFileHeaderRepaired(t *testing.T) {
 	}
 }
 
-// TestBusDurability round-trips publications through the durable Bus,
-// including recovery from a torn tail.
+// TestBusDurability round-trips publications through the durable bus,
+// including recovery from a torn tail on one shard segment.
 func TestBusDurability(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bus.olg")
-	b, err := OpenBus(path)
+	dir := filepath.Join(t.TempDir(), "bus.shards")
+	b, err := OpenShardedBus(dir, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,14 +243,18 @@ func TestBusDurability(t *testing.T) {
 	if err := b.Append(ctx, "Q", sampleLog()); err != nil {
 		t.Fatal(err)
 	}
-	pubs, next, err := b.FetchSince(ctx, 1)
-	if err != nil || next != 2 || len(pubs) != 1 || pubs[0].Peer != "Q" {
-		t.Fatalf("FetchSince: %d pubs, next %d, err %v", len(pubs), next, err)
+	mid, err := core.ParseCursor("v1:1;P=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas, next, err := b.Fetch(ctx, mid)
+	if err != nil || next.Total() != 2 || len(deltas) != 1 || deltas[0].Pub.Peer != "Q" {
+		t.Fatalf("Fetch: %d deltas, next %v, err %v", len(deltas), next, err)
 	}
 	b.Close()
-	corrupt(t, path, []byte{0, 0, 1, 0, 'x'}) // torn append
+	corrupt(t, filepath.Join(dir, shardFileName("Q")), []byte{0, 0, 1, 0, 'x'}) // torn append
 
-	b2, err := OpenBus(path)
+	b2, err := OpenShardedBus(dir, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,12 +262,9 @@ func TestBusDurability(t *testing.T) {
 	if b2.RepairedBytes() == 0 {
 		t.Error("expected a tail repair")
 	}
-	if b2.Len() != 2 {
-		t.Fatalf("reloaded bus Len = %d, want 2", b2.Len())
-	}
-	pubs, next, err = b2.FetchSince(ctx, 0)
-	if err != nil || next != 2 || len(pubs) != 2 {
-		t.Fatalf("reloaded FetchSince: %d pubs, next %d, err %v", len(pubs), next, err)
+	deltas, next, err = b2.Fetch(ctx, core.Cursor{})
+	if err != nil || next.Total() != 2 || len(deltas) != 2 {
+		t.Fatalf("reloaded Fetch: %d deltas, next %v, err %v", len(deltas), next, err)
 	}
 }
 

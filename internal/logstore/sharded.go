@@ -62,8 +62,7 @@ func shardPeer(path string) (string, error) {
 // frame ('Q' trailer) keeps the fetchable order total: a publication
 // becomes visible to Fetch/Subscribe only once every lower-numbered
 // publication is visible (the watermark commit), so consumers always
-// observe a contiguous prefix of the global order, exactly as with the
-// single-file Bus.
+// observe a contiguous prefix of the global order.
 //
 // Crash safety: a sequence number is only observable (fetchable,
 // pushed, or acknowledged to the publisher) after its own frame is
@@ -108,7 +107,7 @@ func OpenShardedBus(dir, legacyPath string) (*ShardedBus, error) {
 	if _, err := os.Stat(dir); os.IsNotExist(err) {
 		if legacyPath != "" {
 			if _, lerr := os.Stat(legacyPath); lerr == nil {
-				if err := migrateLegacyBus(dir, legacyPath); err != nil {
+				if err := migrateFlatLog(dir, legacyPath); err != nil {
 					return nil, err
 				}
 			}
@@ -180,7 +179,7 @@ func OpenShardedBus(dir, legacyPath string) (*ShardedBus, error) {
 			b.closeShards()
 			return nil, fmt.Errorf("logstore: duplicate sequence number %d across shards", sp.seq)
 		}
-		if err := b.mem.Preload(sp.pub.Peer, sp.pub.Log, sp.pub.TraceID); err != nil {
+		if _, err := b.mem.Preload(sp.pub.Peer, sp.pub.Log, sp.pub.TraceID); err != nil {
 			b.closeShards()
 			return nil, fmt.Errorf("logstore: reloading publication seq %d: %w", sp.seq, err)
 		}
@@ -192,10 +191,10 @@ func OpenShardedBus(dir, legacyPath string) (*ShardedBus, error) {
 	return b, nil
 }
 
-// migrateLegacyBus rewrites a single-file bus log into a sharded
+// migrateFlatLog rewrites a single-file bus log into a sharded
 // directory. The temporary directory commits by rename; the caller
 // removes the legacy file after the rename is durable.
-func migrateLegacyBus(dir, legacyPath string) error {
+func migrateFlatLog(dir, legacyPath string) error {
 	st, err := Open(legacyPath)
 	if err != nil {
 		return fmt.Errorf("logstore: opening legacy bus log for migration: %w", err)
@@ -318,7 +317,7 @@ func (b *ShardedBus) commit(seq uint64, pub *parkedPub) error {
 		}
 		delete(b.parked, b.nextCommit)
 		if p != nil {
-			if perr := b.mem.Preload(p.peer, p.log, p.traceID); perr != nil && err == nil {
+			if _, perr := b.mem.Preload(p.peer, p.log, p.traceID); perr != nil && err == nil {
 				err = perr
 			}
 		}
@@ -367,16 +366,6 @@ func (b *ShardedBus) Horizon(ctx context.Context) (core.Cursor, error) {
 func (b *ShardedBus) Subscribe(ctx context.Context, from core.Cursor) (<-chan core.Delta, core.CancelFunc, error) {
 	return b.mem.Subscribe(ctx, from)
 }
-
-// FetchSince implements the legacy scalar fetch.
-//
-// Deprecated: use Fetch with a typed core.Cursor.
-func (b *ShardedBus) FetchSince(ctx context.Context, cursor int) ([]core.Publication, int, error) {
-	return b.mem.FetchSince(ctx, cursor)
-}
-
-// Len returns the number of committed publications on the bus.
-func (b *ShardedBus) Len() int { return b.mem.Len() }
 
 // RepairedBytes reports how many bytes of torn shard tails were
 // dropped when the bus was opened (0 when all segments were clean).

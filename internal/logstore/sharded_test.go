@@ -48,7 +48,7 @@ func TestShardedAppendFetchReopen(t *testing.T) {
 				t.Fatalf("%s: delta %d has shard position %d, want %d", when, i, d.Pos, shardSeen[d.Shard])
 			}
 		}
-		if !next.Exact() || next.Total() != len(peers) ||
+		if next.Total() != len(peers) ||
 			next.Shard("A") != 3 || next.Shard("B") != 2 || next.Shard("C") != 1 {
 			t.Fatalf("%s: horizon %v", when, next)
 		}
@@ -76,13 +76,13 @@ func TestShardedLegacyMigration(t *testing.T) {
 	ctx := context.Background()
 	root := t.TempDir()
 	legacyPath := filepath.Join(root, "bus.olg")
-	legacy, err := OpenBus(legacyPath)
+	legacy, err := Open(legacyPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	peers := []string{"A", "B", "A"}
 	for i, peer := range peers {
-		if err := legacy.Append(ctx, peer, core.EditLog{core.Ins("R", core.MakeTuple(i))}); err != nil {
+		if err := legacy.Append(peer, core.EditLog{core.Ins("R", core.MakeTuple(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -100,7 +100,7 @@ func TestShardedLegacyMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(deltas) != len(peers) || next.Total() != len(peers) || !next.Exact() {
+	if len(deltas) != len(peers) || next.Total() != len(peers) || next.Shard("A") != 2 || next.Shard("B") != 1 {
 		t.Fatalf("migrated %d deltas, horizon %v", len(deltas), next)
 	}
 	for i, d := range deltas {
@@ -123,8 +123,8 @@ func TestShardedLegacyMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b2.Close()
-	if b2.Len() != len(peers) {
-		t.Fatalf("reopen after migration holds %d, want %d", b2.Len(), len(peers))
+	if h, err := b2.Horizon(ctx); err != nil || h.Total() != len(peers) {
+		t.Fatalf("reopen after migration: horizon %v, err %v, want %d", h, err, len(peers))
 	}
 }
 

@@ -226,7 +226,54 @@ func TestConcurrentEmission(t *testing.T) {
 	}
 }
 
-func TestTracerRing(t *testing.T) {
+// TestRing pins the one bounded ring behind Tracer, PubTracer and
+// SlowQueryRing: newest-first reads, eviction at capacity, count of
+// everything ever added, and stamping under the lock.
+func TestRing(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		capacity int
+		adds     int
+		ask      int
+		want     []int // newest first
+	}{
+		{"empty", 3, 0, 10, []int{}},
+		{"partly filled", 3, 2, 10, []int{2, 1}},
+		{"exactly full", 3, 3, 10, []int{3, 2, 1}},
+		{"wrapped", 3, 5, 10, []int{5, 4, 3}},
+		{"wrapped twice", 4, 9, 10, []int{9, 8, 7, 6}},
+		{"ask for fewer than held", 4, 6, 2, []int{6, 5}},
+		{"ask for none", 3, 5, 0, nil},
+		{"capacity below one is one", 0, 3, 10, []int{3}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRing[int](c.capacity)
+			for i := 1; i <= c.adds; i++ {
+				var ordinal uint64
+				r.add(i, func(n uint64) { ordinal = n })
+				if ordinal != uint64(i) {
+					t.Fatalf("add %d stamped ordinal %d", i, ordinal)
+				}
+			}
+			if got := r.count(); got != uint64(c.adds) {
+				t.Fatalf("count = %d, want %d", got, c.adds)
+			}
+			got := r.last(c.ask)
+			if (got == nil) != (c.want == nil) || len(got) != len(c.want) {
+				t.Fatalf("last(%d) = %v, want %v", c.ask, got, c.want)
+			}
+			for i := range got {
+				if got[i] != c.want[i] {
+					t.Fatalf("last(%d) = %v, want %v", c.ask, got, c.want)
+				}
+			}
+		})
+	}
+}
+
+// TestTracerStampsSeq: the tracer's own behaviour on top of the ring is
+// the sequence number it stamps into each pass.
+func TestTracerStampsSeq(t *testing.T) {
 	tr := NewTracer(3)
 	for i := 0; i < 5; i++ {
 		tr.Add(StartPass("exchange"))
@@ -235,17 +282,8 @@ func TestTracerRing(t *testing.T) {
 		t.Fatalf("count = %d, want 5", tr.Count())
 	}
 	last := tr.Last(10)
-	if len(last) != 3 {
-		t.Fatalf("ring kept %d, want 3", len(last))
-	}
-	// Newest first: seq 5, 4, 3.
-	for i, want := range []uint64{5, 4, 3} {
-		if last[i].Seq != want {
-			t.Fatalf("last[%d].Seq = %d, want %d", i, last[i].Seq, want)
-		}
-	}
-	if one := tr.Last(1); len(one) != 1 || one[0].Seq != 5 {
-		t.Fatalf("Last(1) = %+v, want seq 5", one)
+	if len(last) != 3 || last[0].Seq != 5 || last[2].Seq != 3 {
+		t.Fatalf("Last(10) seqs: %d passes, want 5,4,3", len(last))
 	}
 }
 

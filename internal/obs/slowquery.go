@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // QueryDep pins one body relation's generation at evaluation time — the
 // read path's cache-validity witness, surfaced so a slow-query record
@@ -37,20 +34,13 @@ type QueryStats struct {
 // and once per debug request, and locksafe keeps them out of System.mu
 // critical sections. All methods are nil-safe.
 type SlowQueryRing struct {
-	mu   sync.Mutex
-	ring []QueryStats
-	next int
-	n    int
-	seen uint64
+	ring ring[QueryStats]
 }
 
 // NewSlowQueryRing returns a ring retaining the last capacity slow
 // queries (minimum 1).
 func NewSlowQueryRing(capacity int) *SlowQueryRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &SlowQueryRing{ring: make([]QueryStats, capacity)}
+	return &SlowQueryRing{ring: newRing[QueryStats](capacity)}
 }
 
 // Add records one slow query.
@@ -58,32 +48,15 @@ func (r *SlowQueryRing) Add(st QueryStats) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	r.seen++
-	r.ring[r.next] = st
-	r.next = (r.next + 1) % len(r.ring)
-	if r.n < len(r.ring) {
-		r.n++
-	}
-	r.mu.Unlock()
+	r.ring.add(st, nil)
 }
 
 // Last returns up to n of the most recent slow queries, newest first.
 func (r *SlowQueryRing) Last(n int) []QueryStats {
-	if r == nil || n < 1 {
+	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n > r.n {
-		n = r.n
-	}
-	out := make([]QueryStats, 0, n)
-	for i := 1; i <= n; i++ {
-		idx := (r.next - i + len(r.ring)) % len(r.ring)
-		out = append(out, r.ring[idx])
-	}
-	return out
+	return r.ring.last(n)
 }
 
 // Count reports how many slow queries have ever been recorded.
@@ -91,7 +64,5 @@ func (r *SlowQueryRing) Count() uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seen
+	return r.ring.count()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -147,19 +148,13 @@ type PubRecord struct {
 // run once per publish and once per debug request, and locksafe keeps
 // them out of System.mu critical sections. All methods are nil-safe.
 type PubTracer struct {
-	mu   sync.Mutex
-	ring []PubRecord
-	next int
-	n    int
+	ring ring[PubRecord]
 }
 
 // NewPubTracer returns a ring retaining the last capacity publishes
 // (minimum 1).
 func NewPubTracer(capacity int) *PubTracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &PubTracer{ring: make([]PubRecord, capacity)}
+	return &PubTracer{ring: newRing[PubRecord](capacity)}
 }
 
 // Add records one accepted publication.
@@ -167,13 +162,7 @@ func (t *PubTracer) Add(r PubRecord) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.ring[t.next] = r
-	t.next = (t.next + 1) % len(t.ring)
-	if t.n < len(t.ring) {
-		t.n++
-	}
-	t.mu.Unlock()
+	t.ring.add(r, nil)
 }
 
 // Find returns the most recent record for the given trace id, or nil.
@@ -181,12 +170,8 @@ func (t *PubTracer) Find(traceID string) *PubRecord {
 	if t == nil || traceID == "" {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := 1; i <= t.n; i++ {
-		idx := (t.next - i + len(t.ring)) % len(t.ring)
-		if t.ring[idx].TraceID == traceID {
-			r := t.ring[idx]
+	for _, r := range t.ring.last(math.MaxInt) {
+		if r.TraceID == traceID {
 			return &r
 		}
 	}
@@ -195,18 +180,8 @@ func (t *PubTracer) Find(traceID string) *PubRecord {
 
 // Last returns up to n of the most recent records, newest first.
 func (t *PubTracer) Last(n int) []PubRecord {
-	if t == nil || n < 1 {
+	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n > t.n {
-		n = t.n
-	}
-	out := make([]PubRecord, 0, n)
-	for i := 1; i <= n; i++ {
-		idx := (t.next - i + len(t.ring)) % len(t.ring)
-		out = append(out, t.ring[idx])
-	}
-	return out
+	return t.ring.last(n)
 }

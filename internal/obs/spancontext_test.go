@@ -56,24 +56,25 @@ func TestEnsureSpanAndContext(t *testing.T) {
 	}
 }
 
-func TestPubTracerRing(t *testing.T) {
+// TestPubTracerFind: beyond the ring (TestRing), a PubTracer looks
+// records up by trace id, newest first, and forgets evicted ones.
+func TestPubTracerFind(t *testing.T) {
 	tr := NewPubTracer(4)
 	for i := 0; i < 6; i++ {
 		tr.Add(PubRecord{TraceID: fmt.Sprintf("t%d", i), Cursor: i + 1})
 	}
-	// Capacity 4: t0 and t1 were evicted.
-	if r := tr.Find("t1"); r != nil {
+	tr.Add(PubRecord{TraceID: "t4", Cursor: 70}) // a newer record under an id already held
+	// Capacity 4: t0..t2 were evicted.
+	if r := tr.Find("t2"); r != nil {
 		t.Fatalf("evicted record still found: %+v", r)
 	}
 	if r := tr.Find("t5"); r == nil || r.Cursor != 6 {
 		t.Fatalf("Find(t5) = %+v, want cursor 6", r)
 	}
-	// Last(n) is newest-first and caps at the retained count.
-	last := tr.Last(10)
-	if len(last) != 4 || last[0].TraceID != "t5" || last[3].TraceID != "t2" {
-		t.Fatalf("Last(10) = %+v", last)
+	if r := tr.Find("t4"); r == nil || r.Cursor != 70 {
+		t.Fatalf("Find(t4) = %+v, want the most recent record (cursor 70)", r)
 	}
-	if got := tr.Last(2); len(got) != 2 || got[0].TraceID != "t5" {
+	if got := tr.Last(2); len(got) != 2 || got[0].TraceID != "t4" || got[1].TraceID != "t5" {
 		t.Fatalf("Last(2) = %+v", got)
 	}
 	// Nil receiver is inert.
@@ -84,18 +85,11 @@ func TestPubTracerRing(t *testing.T) {
 	}
 }
 
-func TestSlowQueryRing(t *testing.T) {
-	ring := NewSlowQueryRing(3)
-	for i := 0; i < 5; i++ {
-		ring.Add(QueryStats{Query: fmt.Sprintf("q%d", i), WallNS: int64(i)})
-	}
-	// Count is total-ever-seen, not retained.
-	if n := ring.Count(); n != 5 {
-		t.Fatalf("Count = %d, want 5", n)
-	}
-	last := ring.Last(10)
-	if len(last) != 3 || last[0].Query != "q4" || last[2].Query != "q2" {
-		t.Fatalf("Last(10) = %+v", last)
+func TestSlowQueryRingNilSafe(t *testing.T) {
+	ring := NewSlowQueryRing(2)
+	ring.Add(QueryStats{Query: "q0"})
+	if last := ring.Last(5); ring.Count() != 1 || len(last) != 1 || last[0].Query != "q0" {
+		t.Fatalf("Count = %d, Last(5) = %+v", ring.Count(), last)
 	}
 	var nilRing *SlowQueryRing
 	nilRing.Add(QueryStats{})

@@ -205,20 +205,13 @@ func viewName(owner string) string {
 // request, never inside a hot loop, and locksafe keeps them out of
 // System.mu critical sections. All methods are nil-safe.
 type Tracer struct {
-	mu   sync.Mutex
-	ring []*PassTrace
-	next int
-	n    int
-	seq  uint64
+	ring ring[*PassTrace]
 }
 
 // NewTracer returns a tracer retaining the last capacity passes
 // (minimum 1).
 func NewTracer(capacity int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Tracer{ring: make([]*PassTrace, capacity)}
+	return &Tracer{ring: newRing[*PassTrace](capacity)}
 }
 
 // Add records a finished pass, stamping its sequence number (1-based,
@@ -227,33 +220,15 @@ func (t *Tracer) Add(p *PassTrace) {
 	if t == nil || p == nil {
 		return
 	}
-	t.mu.Lock()
-	t.seq++
-	p.Seq = t.seq
-	t.ring[t.next] = p
-	t.next = (t.next + 1) % len(t.ring)
-	if t.n < len(t.ring) {
-		t.n++
-	}
-	t.mu.Unlock()
+	t.ring.add(p, func(seq uint64) { p.Seq = seq })
 }
 
 // Last returns up to n of the most recent passes, newest first.
 func (t *Tracer) Last(n int) []*PassTrace {
-	if t == nil || n < 1 {
+	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n > t.n {
-		n = t.n
-	}
-	out := make([]*PassTrace, 0, n)
-	for i := 1; i <= n; i++ {
-		idx := (t.next - i + len(t.ring)) % len(t.ring)
-		out = append(out, t.ring[idx])
-	}
-	return out
+	return t.ring.last(n)
 }
 
 // Count reports how many passes have ever been recorded.
@@ -261,9 +236,7 @@ func (t *Tracer) Count() uint64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seq
+	return t.ring.count()
 }
 
 // Observability bundles the operations plane — a metrics registry, a

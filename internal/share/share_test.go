@@ -2,9 +2,12 @@ package share
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"orchestra/internal/core"
@@ -34,12 +37,13 @@ func TestPublishAndFetch(t *testing.T) {
 	srv := NewServer()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	cl := NewClient(ts.URL)
+	bus := NewBus(ts.URL)
+	ctx := context.Background()
 
-	if err := cl.Publish(context.Background(), "P", core.EditLog{core.Ins("A", core.MakeTuple(1))}); err != nil {
+	if err := bus.Append(ctx, "P", core.EditLog{core.Ins("A", core.MakeTuple(1))}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Publish(context.Background(), "Q", core.EditLog{
+	if err := bus.Append(ctx, "Q", core.EditLog{
 		core.Ins("B", core.MakeTuple(2)),
 		core.Del("B", core.MakeTuple(3)),
 	}); err != nil {
@@ -49,27 +53,31 @@ func TestPublishAndFetch(t *testing.T) {
 		t.Fatalf("server has %d publications", srv.Len())
 	}
 
-	logs, peers, cursor, err := cl.Fetch(context.Background(), 0)
+	deltas, cursor, err := bus.Fetch(ctx, core.Cursor{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cursor != 2 || len(logs) != 2 || peers[0] != "P" || peers[1] != "Q" {
-		t.Fatalf("fetch: cursor=%d logs=%v peers=%v", cursor, logs, peers)
+	if cursor.Total() != 2 || len(deltas) != 2 || deltas[0].Pub.Peer != "P" || deltas[1].Pub.Peer != "Q" ||
+		deltas[0].Pos != 1 || deltas[1].Pos != 1 {
+		t.Fatalf("fetch: cursor=%v deltas=%v", cursor, deltas)
 	}
-	if len(logs[1]) != 2 || logs[1][1].Insert {
-		t.Fatalf("second log: %v", logs[1])
+	if log := deltas[1].Pub.Log; len(log) != 2 || log[1].Insert {
+		t.Fatalf("second log: %v", log)
+	}
+	if h, err := bus.Horizon(ctx); err != nil || !h.Equal(cursor) {
+		t.Fatalf("horizon %v, err %v, want %v", h, err, cursor)
 	}
 	// Incremental fetch from the cursor returns nothing new.
-	logs, _, cursor2, err := cl.Fetch(context.Background(), cursor)
+	deltas, cursor2, err := bus.Fetch(ctx, cursor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(logs) != 0 || cursor2 != 2 {
-		t.Fatalf("incremental fetch: %v %d", logs, cursor2)
+	if len(deltas) != 0 || !cursor2.Equal(cursor) {
+		t.Fatalf("incremental fetch: %v %v", deltas, cursor2)
 	}
 }
 
-// Two CDSS nodes stay consistent by syncing through the service — the
+// Two CDSS nodes stay consistent by exchanging through the service — the
 // paper's operating mode with a central publication store.
 func TestTwoNodeSync(t *testing.T) {
 	spec := testSpec(t)
@@ -77,41 +85,33 @@ func TestTwoNodeSync(t *testing.T) {
 	srv.Validate = SpecValidator(spec)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	ctx := context.Background()
 
-	node1 := core.NewCDSS(spec, core.Options{}, core.DeleteProvenance)
-	node2 := core.NewCDSS(spec, core.Options{}, core.DeleteProvenance)
-	cl1, cl2 := NewClient(ts.URL), NewClient(ts.URL)
-	cur1, cur2 := 0, 0
+	node1 := core.NewCDSSOn(NewBus(ts.URL), spec, core.Options{}, core.DeleteProvenance)
+	node2 := core.NewCDSSOn(NewBus(ts.URL), spec, core.Options{}, core.DeleteProvenance)
 
 	// Node 1's peer P inserts and publishes.
 	logP := core.EditLog{core.Ins("A", core.MakeTuple(1)), core.Ins("A", core.MakeTuple(2))}
-	if err := cl1.Publish(context.Background(), "P", logP); err != nil {
+	if err := node1.Publish(ctx, "P", logP); err != nil {
 		t.Fatal(err)
 	}
 	// Node 2's peer Q publishes a curation deletion of imported data.
 	logQ := core.EditLog{core.Del("B", core.MakeTuple(1))}
-	if err := cl2.Publish(context.Background(), "Q", logQ); err != nil {
+	if err := node2.Publish(ctx, "Q", logQ); err != nil {
 		t.Fatal(err)
 	}
 
-	// Both nodes sync and exchange.
-	var err error
-	if cur1, err = cl1.Sync(context.Background(), node1, cur1); err != nil {
-		t.Fatal(err)
-	}
-	if cur2, err = cl2.Sync(context.Background(), node2, cur2); err != nil {
-		t.Fatal(err)
-	}
-	if cur1 != 2 || cur2 != 2 {
-		t.Fatalf("cursors: %d %d", cur1, cur2)
-	}
+	// Both nodes exchange.
 	v1, _ := node1.View("")
 	v2, _ := node2.View("")
-	if _, err := node1.Exchange(context.Background(), ""); err != nil {
+	if _, err := node1.Exchange(ctx, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := node2.Exchange(context.Background(), ""); err != nil {
+	if _, err := node2.Exchange(ctx, ""); err != nil {
 		t.Fatal(err)
+	}
+	if c1, c2 := node1.Cursor(""), node2.Cursor(""); c1.Total() != 2 || !c1.Equal(c2) {
+		t.Fatalf("cursors: %v %v", c1, c2)
 	}
 	// B = {2}: A(1),A(2) mapped in, B(1) rejected by Q's curation.
 	for name, v := range map[string]*core.View{"node1": v1, "node2": v2} {
@@ -128,9 +128,8 @@ func TestServerValidation(t *testing.T) {
 	srv.Validate = SpecValidator(spec)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	cl := NewClient(ts.URL)
 	// Cross-peer edit rejected with 422.
-	err := cl.Publish(context.Background(), "P", core.EditLog{core.Ins("B", core.MakeTuple(1))})
+	err := NewBus(ts.URL).Append(context.Background(), "P", core.EditLog{core.Ins("B", core.MakeTuple(1))})
 	if err == nil || !strings.Contains(err.Error(), "422") {
 		t.Fatalf("cross-peer publish: %v", err)
 	}
@@ -149,8 +148,7 @@ func TestServerPersistsThroughLogstore(t *testing.T) {
 	srv.Persist = store.AppendTraced
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	cl := NewClient(ts.URL)
-	if err := cl.Publish(context.Background(), "P", core.EditLog{core.Ins("A", core.MakeTuple(5))}); err != nil {
+	if err := NewBus(ts.URL).Append(context.Background(), "P", core.EditLog{core.Ins("A", core.MakeTuple(5))}); err != nil {
 		t.Fatal(err)
 	}
 	if store.Len() != 1 {
@@ -170,67 +168,132 @@ func TestHTTPErrors(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// Unknown path.
-	resp, err := http.Get(ts.URL + "/nope")
-	if err != nil {
-		t.Fatal(err)
+	status := func(resp *http.Response, err error) int {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown path: %d", resp.StatusCode)
+	post := func(body string) int {
+		return status(http.Post(ts.URL+"/publish", "application/json", strings.NewReader(body)))
 	}
-	// Bad JSON.
-	resp, err = http.Post(ts.URL+"/publish", "application/json", strings.NewReader("{"))
-	if err != nil {
-		t.Fatal(err)
+	get := func(path string) int { return status(http.Get(ts.URL + path)) }
+
+	for _, c := range []struct {
+		name string
+		got  int
+		want int
+	}{
+		{"unknown path", get("/nope"), http.StatusNotFound},
+		{"the removed scalar endpoint", get("/since?cursor=0"), http.StatusNotFound},
+		{"bad json", post("{"), http.StatusBadRequest},
+		{"bad base64 key", post(`{"peer":"P","edits":[{"op":"+","rel":"A","key":"!!!"}]}`), http.StatusBadRequest},
+		{"bad op", post(`{"peer":"P","edits":[{"op":"?","rel":"A","key":""}]}`), http.StatusBadRequest},
+		{"bad fetch cursor", get("/fetch?cursor=potato"), http.StatusBadRequest},
+		{"bare-total fetch cursor", get("/fetch?cursor=v1:7"), http.StatusBadRequest},
+		{"bare-total watch cursor", get("/watch?cursor=v1:7"), http.StatusBadRequest},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: status %d, want %d", c.name, c.got, c.want)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad json: %d", resp.StatusCode)
-	}
-	// Bad base64 key.
-	resp, err = http.Post(ts.URL+"/publish", "application/json",
-		strings.NewReader(`{"peer":"P","edits":[{"op":"+","rel":"A","key":"!!!"}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad key: %d", resp.StatusCode)
-	}
-	// Bad op.
-	resp, err = http.Post(ts.URL+"/publish", "application/json",
-		strings.NewReader(`{"peer":"P","edits":[{"op":"?","rel":"A","key":""}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad op: %d", resp.StatusCode)
-	}
-	// Bad cursor.
-	resp, err = http.Get(ts.URL + "/since?cursor=potato")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad cursor: %d", resp.StatusCode)
-	}
+
 	// Cursor beyond the end clamps.
-	cl := NewClient(ts.URL)
-	if err := cl.Publish(context.Background(), "P", core.EditLog{core.Ins("A", core.MakeTuple(1))}); err != nil {
+	bus := NewBus(ts.URL)
+	if err := bus.Append(context.Background(), "P", core.EditLog{core.Ins("A", core.MakeTuple(1))}); err != nil {
 		t.Fatal(err)
 	}
-	logs, _, cursor, err := cl.Fetch(context.Background(), 999)
-	if err != nil || len(logs) != 0 || cursor != 1 {
-		t.Fatalf("over-cursor fetch: %v %d %v", logs, cursor, err)
+	beyond, err := core.ParseCursor("v1:999;P=999")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas, cursor, err := bus.Fetch(context.Background(), beyond)
+	if err != nil || len(deltas) != 0 || cursor.Total() != 1 {
+		t.Fatalf("over-cursor fetch: %v %v %v", deltas, cursor, err)
+	}
+}
+
+// TestPublishAcknowledgesOwnPosition pins the publish response's cursor
+// to the publication's own position: N concurrent publishes are
+// acknowledged with exactly 1..N, and each PubRecord carries the same
+// position its publisher was told.
+func TestPublishAcknowledgesOwnPosition(t *testing.T) {
+	srv := NewServer()
+	tracer := obs.NewPubTracer(64)
+	srv.SetPubTracer(tracer)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	const n = 32
+	type ack struct {
+		Cursor int    `json:"cursor"`
+		Trace  string `json:"trace"`
+	}
+	acks := make([]ack, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/publish", "application/json",
+				strings.NewReader(fmt.Sprintf(`{"peer":"P%d","edits":[]}`, i%4)))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			if err := json.NewDecoder(resp.Body).Decode(&acks[i]); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	seen := make(map[int]bool, n)
+	for _, a := range acks {
+		if a.Cursor < 1 || a.Cursor > n || seen[a.Cursor] {
+			t.Fatalf("acknowledged cursors are not a permutation of 1..%d: %+v", n, acks)
+		}
+		seen[a.Cursor] = true
+		if rec := tracer.Find(a.Trace); rec == nil || rec.Cursor != a.Cursor {
+			t.Fatalf("PubRecord for trace %s = %+v, publisher was told cursor %d", a.Trace, rec, a.Cursor)
+		}
+	}
+}
+
+// TestPositionlessDeltaRejected: a /fetch delta or /watch line whose
+// shard position is missing or zero is malformed input, not a delta
+// with an unknown position.
+func TestPositionlessDeltaRejected(t *testing.T) {
+	const delta = `{"peer":"P","pos":0,"edits":[]}`
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/fetch":
+			fmt.Fprintf(w, `{"cursor":"v1:1;P=1","deltas":[%s]}`, delta)
+		case "/watch":
+			fmt.Fprintln(w, delta)
+		}
+	}))
+	defer ts.Close()
+	bus := NewBus(ts.URL)
+	ctx := context.Background()
+
+	if deltas, _, err := bus.Fetch(ctx, core.Cursor{}); err == nil {
+		t.Fatalf("Fetch accepted a pos-0 delta: %v", deltas)
+	}
+	deliver := func(d core.Delta) bool {
+		t.Errorf("watch delivered a pos-0 delta: %+v", d)
+		return true
+	}
+	if cur, streamed, err := bus.watchOnce(ctx, core.Cursor{}, deliver, make(chan struct{})); err == nil || streamed || !cur.IsZero() {
+		t.Fatalf("watchOnce: cursor %v, streamed %v, err %v", cur, streamed, err)
 	}
 }
 
 // TestTraceparentRoundTrip proves a publication's lineage id survives
 // the HTTP hop: the Bus sends it as a traceparent header, the server
-// stores it, FetchSince hands it back, and the server-side PubTracer
+// stores it, Fetch hands it back, and the server-side PubTracer
 // records the publish under the same id.
 func TestTraceparentRoundTrip(t *testing.T) {
 	srv := NewServer()
@@ -249,13 +312,14 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pubs, cursor, err := bus.FetchSince(context.Background(), 0)
+	deltas, cursor, err := bus.Fetch(context.Background(), core.Cursor{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cursor != 2 || len(pubs) != 2 {
-		t.Fatalf("fetch: cursor=%d pubs=%v", cursor, pubs)
+	if cursor.Total() != 2 || len(deltas) != 2 {
+		t.Fatalf("fetch: cursor=%v deltas=%v", cursor, deltas)
 	}
+	pubs := []core.Publication{deltas[0].Pub, deltas[1].Pub}
 	if pubs[0].TraceID != sc.TraceID {
 		t.Fatalf("fetched trace id %q, want the caller's %q", pubs[0].TraceID, sc.TraceID)
 	}

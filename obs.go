@@ -137,7 +137,7 @@ const passKindExchange, passKindExchangeAll, passKindExchangePush = "exchange", 
 func newSystemObs(o *obs.Observability) *systemObs {
 	r := o.Registry()
 	x := &systemObs{
-		bundle:       o,
+		bundle:        o,
 		passSeconds:   make(map[string]*obs.Histogram, 3),
 		passes:        make(map[string]*obs.Counter, 3),
 		passFailures:  make(map[string]*obs.Counter, 3),
@@ -461,7 +461,9 @@ func (s *System) initObs(o *Observability, slowQuery time.Duration) {
 	}
 	if s.ownBus != nil {
 		s.ownBus.SetMetrics(busAppendMetrics(r))
-		x.horizon.Store(int64(s.ownBus.Len()))
+		if h, err := s.ownBus.Horizon(context.Background()); err == nil {
+			x.horizon.Store(int64(h.Total()))
+		}
 	}
 	for owner, h := range s.views {
 		x.ensureView(owner).cursor.Store(int64(h.cursor.Total()))
@@ -488,8 +490,8 @@ func (s *System) SlowQueries(n int) []SlowQuery {
 }
 
 // busAppendMetrics resolves the durable-append instruments. Both the
-// System's own FileBus and a BusServer's persistence register the same
-// names, so a node running both in one registry shares the series —
+// System's own ShardedFileBus and a BusServer's persistence register
+// the same names, so a node running both in one registry shares the series —
 // appends are appends, whichever side performed them.
 func busAppendMetrics(r *obs.Registry) logstore.Metrics {
 	return logstore.Metrics{
@@ -514,9 +516,9 @@ func (s *System) Observability() *Observability {
 // ViewStat is one view's row of a SystemStats snapshot.
 type ViewStat struct {
 	Owner string `json:"owner"`
-	// Cursor is the scalar (total) bus position; Position is the typed
-	// cursor's durable form, with the per-shard breakdown ("" when the
-	// view was busy and only the scalar mirror was readable).
+	// Cursor is the bus position's total; Position is the cursor's
+	// durable form, with the per-shard breakdown ("" when the view was
+	// busy and only the mirrored total was readable).
 	Cursor   int    `json:"cursor"`
 	Position string `json:"position,omitempty"`
 	// Pending is the number of bus publications past the cursor.
@@ -557,10 +559,11 @@ type SystemStats struct {
 // effect it refreshes the bus-horizon gauge behind the per-view
 // orchestra_bus_lag series.
 func (s *System) Stats(ctx context.Context) (SystemStats, error) {
-	n, err := s.BusLen(ctx)
+	horizon, err := s.bus.Horizon(ctx)
 	if err != nil {
 		return SystemStats{}, err
 	}
+	n := horizon.Total()
 	out := SystemStats{BusLen: n, SpecGeneration: s.SpecGeneration()}
 	if s.obsx != nil {
 		out.Passes = s.obsx.bundle.Tracer().Count()

@@ -116,8 +116,7 @@ func WithSplitProvTables(on bool) Option {
 // in-memory bus (the default, private to this System), an HTTP bus
 // shared with other nodes of the confederation (see NewHTTPBus), a
 // durable ShardedFileBus, or any composition of the capability
-// interfaces — BusAppender+BusReader is the required minimum
-// (AdaptBus lifts legacy append/fetch-since implementations to it).
+// interfaces — BusAppender+BusReader is the required minimum.
 // Push streaming is capability-detected: StartPush works iff the bus
 // also implements BusWatcher; a pull-only bus simply polls on
 // Exchange.
@@ -128,10 +127,10 @@ func WithBus(bus PublicationBus) Option {
 // WithPersistence makes the System durable: dir becomes its state
 // directory, holding one checksummed snapshot per view plus a manifest
 // of bus cursors (internal/statestore), and — when no WithBus is given
-// — a durable publication log ("bus.olg") replacing the default
-// in-memory bus. New recovers every persisted view from its snapshot;
-// the next Exchange then replays only the publications past the view's
-// persisted cursor. Checkpoints are taken per the configured policy
+// — a durable sharded publication log (the "bus.shards" directory)
+// replacing the default in-memory bus. New recovers every persisted
+// view from its snapshot; the next Exchange then replays only the
+// publications past the view's persisted cursor. Checkpoints are taken per the configured policy
 // (default: after every exchange that applied publications) and via
 // System.Checkpoint.
 //
@@ -233,15 +232,6 @@ func WithQueryCache(entries int) Option {
 		}
 		c.opts.QueryCacheSize = entries
 	}
-}
-
-// WithLegacyQueryPlanner reverts read-path queries to the fixed greedy
-// join order maintenance plans use, instead of cost-based ordering from
-// table statistics. Results are identical either way (the plan
-// equivalence property test pins this down); this exists as the
-// benchmark baseline and as an escape hatch.
-func WithLegacyQueryPlanner() Option {
-	return func(c *config) { c.opts.LegacyQueryPlanner = true }
 }
 
 // WithTrustFor installs (or overrides) a peer's trust policy. The Spec

@@ -422,9 +422,8 @@ func (s *System) exchangeLocked(ctx context.Context, owner string, h *viewHandle
 
 // importLocked advances one view to the bus horizon, preferring the
 // push buffer: a contiguous run of subscription-delivered deltas is
-// applied directly — no bus round trip — and only a gap, an overflow,
-// or a position-less delta (a legacy bus behind AdaptBus) falls back
-// to the pull fetch. The caller holds h.mu.
+// applied directly — no bus round trip — and only a gap or an overflow
+// falls back to the pull fetch. The caller holds h.mu.
 func (s *System) importLocked(ctx context.Context, owner string, h *viewHandle) (ApplyStats, error) {
 	if deltas, overflow := h.takePush(); !overflow && len(deltas) > 0 {
 		next, stats, handled, err := core.ExchangeDeltas(ctx, h.view, h.cursor, deltas, s.strategy)

@@ -15,18 +15,18 @@ import (
 )
 
 // busLogName is the single-file publication log earlier releases
-// co-located with the view snapshots; it is now only read once, as
+// co-located with the view snapshots; it is only read once, as
 // migration input for the sharded layout.
 const busLogName = "bus.olg"
 
 // busShardDirName is the sharded publication log directory
 // WithPersistence co-locates with the view snapshots when the System
 // owns its bus: one append-only segment per publishing peer. A
-// directory still holding the legacy bus.olg is migrated on open.
+// directory still holding bus.olg is migrated on open.
 const busShardDirName = "bus.shards"
 
 // openPersistence wires a System to its state directory: it opens the
-// statestore, substitutes a durable file-backed bus when the caller
+// statestore, substitutes a durable sharded bus when the caller
 // did not supply one, and recovers every persisted view — restoring
 // its snapshot and resuming its bus cursor so the next Exchange
 // replays only publications past the checkpoint.
@@ -64,6 +64,15 @@ func (s *System) openPersistence(cfg *config) error {
 	}
 	s.store = st
 	s.persist = cfg.persist
+	busLen := -1
+	if s.ownBus != nil {
+		h, err := s.ownBus.Horizon(context.Background())
+		if err != nil {
+			s.closePersistence()
+			return err
+		}
+		busLen = h.Total()
+	}
 	for _, vs := range st.Views() {
 		_, r, err := st.LoadView(vs.Owner)
 		if err != nil {
@@ -71,12 +80,14 @@ func (s *System) openPersistence(cfg *config) error {
 			return err
 		}
 		v, err := core.RestoreView(s.spec, vs.Owner, s.opts, r)
-		if errors.Is(err, core.ErrSnapshotSpecMismatch) {
-			// A crash between a spec evolution's per-view checkpoints can
-			// leave this one snapshot stamped with an older fingerprint
-			// than the manifest's. A snapshot is only a cache of the
-			// publication history: discard it and let the view rebuild
-			// from publication zero on first use.
+		if errors.Is(err, core.ErrSnapshotSpecMismatch) || (err == nil && vs.Cursor > 0 && vs.Position == "") {
+			// Two kinds of snapshot cannot be resumed: one that a crash
+			// between a spec evolution's per-view checkpoints left stamped
+			// with an older fingerprint than the manifest's, and one
+			// checkpointed before cursors recorded their shard breakdown,
+			// which names no place on the bus to resume from. A snapshot is
+			// only a cache of the publication history: discard it and let
+			// the view rebuild from publication zero on first use.
 			if err := st.Remove(vs.Owner); err != nil {
 				s.closePersistence()
 				return fmt.Errorf("orchestra: discarding stale snapshot of view %q: %w", vs.Owner, err)
@@ -87,25 +98,20 @@ func (s *System) openPersistence(cfg *config) error {
 			s.closePersistence()
 			return fmt.Errorf("orchestra: recovering view %q: %w", vs.Owner, err)
 		}
-		if s.ownBus != nil && vs.Cursor > s.ownBus.Len() {
+		if busLen >= 0 && vs.Cursor > busLen {
 			s.closePersistence()
 			return fmt.Errorf("orchestra: view %q persisted cursor %d exceeds durable bus length %d (mismatched or truncated state directory?)",
-				vs.Owner, vs.Cursor, s.ownBus.Len())
+				vs.Owner, vs.Cursor, busLen)
 		}
-		// Manifests written before sharded cursors carry only the scalar
-		// total; CursorFromTotal marks it scalar and the first pull
-		// exchange upgrades it to an exact vector (one-shot migration).
-		cursor := core.CursorFromTotal(vs.Cursor)
-		if vs.Position != "" {
-			if cursor, err = core.ParseCursor(vs.Position); err != nil {
-				s.closePersistence()
-				return fmt.Errorf("orchestra: view %q persisted position: %w", vs.Owner, err)
-			}
-			if cursor.Total() != vs.Cursor {
-				s.closePersistence()
-				return fmt.Errorf("orchestra: view %q persisted position %q disagrees with cursor %d",
-					vs.Owner, vs.Position, vs.Cursor)
-			}
+		cursor, err := core.ParseCursor(vs.Position)
+		if err != nil {
+			s.closePersistence()
+			return fmt.Errorf("orchestra: view %q persisted position: %w", vs.Owner, err)
+		}
+		if cursor.Total() != vs.Cursor {
+			s.closePersistence()
+			return fmt.Errorf("orchestra: view %q persisted position %q disagrees with cursor %d",
+				vs.Owner, vs.Position, vs.Cursor)
 		}
 		s.setupView(vs.Owner, v)
 		s.views[vs.Owner] = &viewHandle{view: v, cursor: cursor}
@@ -207,14 +213,6 @@ func (s *System) BusHorizon(ctx context.Context) (Cursor, error) {
 	return s.bus.Horizon(ctx)
 }
 
-// BusLen returns the number of publications on the System's bus.
-//
-// Deprecated: use BusHorizon; its Total is this count, and the
-// per-shard breakdown is what streaming followers resume from.
-func (s *System) BusLen(ctx context.Context) (int, error) {
-	return core.BusLen(ctx, s.bus)
-}
-
 // StateDirView is one view's checkpoint as seen by InspectStateDir.
 type StateDirView struct {
 	Owner  string
@@ -238,11 +236,14 @@ type StateDirView struct {
 type StateDirInfo struct {
 	Dir             string
 	SpecFingerprint string
-	// BusLen counts publications in the co-located durable bus log
-	// (bus.olg); -1 when the directory has none (the System exchanged
-	// through an external bus).
-	BusLen int
-	Views  []StateDirView
+	// BusLen counts publications in the co-located durable bus log; -1
+	// when the directory has none (the System exchanged through an
+	// external bus). BusName is the log it was read from: the
+	// "bus.shards" directory, or "bus.olg" in a directory last opened
+	// before the sharded layout.
+	BusLen  int
+	BusName string
+	Views   []StateDirView
 }
 
 // InspectStateDir summarizes a state directory without opening it:
@@ -258,8 +259,8 @@ func InspectStateDir(dir string) (StateDirInfo, error) {
 		return StateDirInfo{}, err
 	}
 	info := StateDirInfo{Dir: dir, SpecFingerprint: m.Spec, BusLen: -1}
-	// Prefer the sharded layout; fall back to the legacy single file
-	// (a directory that was never opened by a sharded-bus release).
+	// Prefer the sharded layout; fall back to the single file of a
+	// directory that was never opened by a sharded-bus release.
 	for _, name := range []string{busShardDirName, busLogName} {
 		busPath := filepath.Join(dir, name)
 		if _, err := os.Stat(busPath); err != nil {
@@ -269,7 +270,7 @@ func InspectStateDir(dir string) (StateDirInfo, error) {
 		if err != nil {
 			return StateDirInfo{}, err
 		}
-		info.BusLen = n
+		info.BusLen, info.BusName = n, name
 		break
 	}
 	for _, vs := range m.Views {

@@ -20,7 +20,7 @@ func BenchmarkRecoveryVsRecompute(b *testing.B) {
 	sp := parsed.Spec
 	ctx := context.Background()
 	dir := b.TempDir()
-	busLog := filepath.Join(dir, "bus.olg")
+	busDir := filepath.Join(dir, "bus.shards")
 
 	// Seed the durable state: a checkpointed view over a long history.
 	seed, err := orchestra.New(sp, orchestra.WithPersistence(dir))
@@ -54,7 +54,7 @@ func BenchmarkRecoveryVsRecompute(b *testing.B) {
 
 	b.Run("recompute", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			bus, err := orchestra.OpenFileBus(busLog)
+			bus, err := orchestra.OpenShardedFileBus(busDir, "")
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -2,11 +2,13 @@ package orchestra_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -234,8 +236,8 @@ edit PuBio   + U(2,5)
 	if added != 2 {
 		t.Errorf("SeedFileEdits added %d publications, want the 2 missing ones", added)
 	}
-	if n, _ := sys.BusLen(ctx); n != 3 {
-		t.Errorf("bus holds %d publications after resumed seeding, want 3", n)
+	if h, _ := sys.BusHorizon(ctx); h.Total() != 3 {
+		t.Errorf("bus holds %d publications after resumed seeding, want 3", h.Total())
 	}
 	// Seeding again is a no-op.
 	if added, err = sys.SeedFileEdits(ctx, parsed); err != nil || added != 0 {
@@ -389,6 +391,118 @@ func TestRecoveryRejectsBusBehindCursor(t *testing.T) {
 	_, err = orchestra.New(sp, orchestra.WithPersistence(dir))
 	if err == nil || !strings.Contains(err.Error(), "exceeds durable bus length") {
 		t.Fatalf("recovery with truncated bus: %v, want horizon-invariant error", err)
+	}
+}
+
+// TestRecoveryRebuildsPositionlessCheckpoint opens a state directory as
+// a release before sharded cursors left it: the manifest records
+// "cursor": 3 with no "position". Such a checkpoint names no place on
+// the bus, so its snapshot is discarded (the path a stale-fingerprint
+// snapshot takes) and the view rebuilds from publication zero — ending
+// with the same instances and rejections as a System that never
+// restarted.
+func TestRecoveryRebuildsPositionlessCheckpoint(t *testing.T) {
+	sp := parseTestSpec(t)
+	ctx := context.Background()
+	history := randomHistory(4, 6)
+	state := func(sys *orchestra.System) string {
+		out := digest(t, sys, "")
+		for _, rel := range sys.RelationNames() {
+			rej, err := sys.Rejections("", rel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := make([]string, len(rej))
+			for i, r := range rej {
+				rows[i] = r.String()
+			}
+			sort.Strings(rows)
+			out += fmt.Sprintf("rejected %s=%v\n", rel, rows)
+		}
+		return out
+	}
+
+	ref, err := orchestra.New(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range history {
+		if err := ref.Publish(ctx, p.peer, p.log); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ref.Exchange(ctx, ""); err != nil {
+		t.Fatal(err)
+	}
+	want := state(ref)
+
+	dir := t.TempDir()
+	sys, err := orchestra.New(sp, orchestra.WithPersistence(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range history[:3] {
+		if err := sys.Publish(ctx, p.peer, p.log); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sys.Exchange(ctx, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite the manifest by hand into the pre-position shape.
+	manifestPath := filepath.Join(dir, "MANIFEST.json")
+	raw, err := os.ReadFile(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var manifest struct {
+		Version int                       `json:"version"`
+		Spec    string                    `json:"spec"`
+		Views   map[string]map[string]any `json:"views"`
+	}
+	if err := json.Unmarshal(raw, &manifest); err != nil {
+		t.Fatal(err)
+	}
+	global := manifest.Views[""]
+	if global["cursor"] != float64(3) || global["position"] == nil {
+		t.Fatalf("fixture manifest entry %v, want cursor 3 with a position", global)
+	}
+	delete(global, "position")
+	if raw, err = json.Marshal(manifest); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifestPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	sys, err = orchestra.New(sp, orchestra.WithPersistence(dir))
+	if err != nil {
+		t.Fatalf("reopening a position-less state directory: %v", err)
+	}
+	defer sys.Close()
+	if views, _ := sys.PersistedViews(); len(views) != 0 {
+		t.Fatalf("position-less checkpoint was kept: %+v", views)
+	}
+	if pending, err := sys.Pending(ctx, ""); err != nil || pending != 3 {
+		t.Fatalf("pending after reopen = %d, %v; want all 3 publications (rebuild from zero)", pending, err)
+	}
+	for _, p := range history[3:] {
+		if err := sys.Publish(ctx, p.peer, p.log); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sys.Exchange(ctx, ""); err != nil {
+		t.Fatal(err)
+	}
+	if got := state(sys); got != want {
+		t.Errorf("rebuilt view diverged:\n-- rebuilt --\n%s\n-- uninterrupted --\n%s", got, want)
+	}
+	if views, _ := sys.PersistedViews(); len(views) != 1 || views[0].Cursor != len(history) || views[0].Position == "" {
+		t.Errorf("checkpoint after rebuild: %+v, want cursor %d with a position", views, len(history))
 	}
 }
 

@@ -181,23 +181,16 @@ func TestStartPushImportsWithoutRefetch(t *testing.T) {
 	}
 }
 
-// legacyOnlyBus is a pull-only bus without the BusWatcher capability.
-type legacyOnlyBus struct{ mem *orchestra.MemoryBus }
-
-func (b legacyOnlyBus) Append(ctx context.Context, peer string, log orchestra.EditLog) error {
-	return b.mem.Append(ctx, peer, log)
-}
-
-func (b legacyOnlyBus) FetchSince(ctx context.Context, cursor int) ([]orchestra.Publication, int, error) {
-	return b.mem.FetchSince(ctx, cursor)
-}
+// pullOnlyBus is a bus without the BusWatcher capability: embedding the
+// interface hides MemoryBus's Subscribe.
+type pullOnlyBus struct{ orchestra.PublicationBus }
 
 // TestStartPushUnsupportedBus: a pull-only bus is detected at StartPush
 // time; the system stays fully functional on the polling path.
 func TestStartPushUnsupportedBus(t *testing.T) {
 	ctx := context.Background()
 	sys, err := orchestra.New(parseTestSpec(t),
-		orchestra.WithBus(orchestra.AdaptBus(legacyOnlyBus{mem: orchestra.NewMemoryBus()})))
+		orchestra.WithBus(pullOnlyBus{orchestra.NewMemoryBus()}))
 	if err != nil {
 		t.Fatal(err)
 	}

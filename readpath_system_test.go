@@ -83,22 +83,6 @@ func TestSecondaryIndexServesQueryPlan(t *testing.T) {
 	}
 }
 
-func TestLegacyQueryPlannerOption(t *testing.T) {
-	sys, err := orchestra.New(parseTestSpec(t), orchestra.WithLegacyQueryPlanner())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	seedExample(t, sys, "")
-	plan, err := sys.ExplainQuery(context.Background(), "", "ans(i,n) :- B(i,n)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "fixed order") {
-		t.Fatalf("legacy planner not in effect:\n%s", plan)
-	}
-}
-
 func TestQueryCacheFacadeStatsAndMetrics(t *testing.T) {
 	ctx := context.Background()
 	o := orchestra.NewObservability(0)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
@@ -110,8 +111,9 @@ func digest(t *testing.T, sys *orchestra.System, owner string) string {
 }
 
 // TestBusEquivalence runs the identical publish/exchange scenario
-// embedded (in-memory bus) and federated (HTTP bus against a BusServer)
-// and asserts the resulting views, query answers, and provenance agree.
+// embedded (in-memory bus), durable (sharded file bus) and federated
+// (HTTP bus against a BusServer) and asserts the resulting views, query
+// answers, and provenance agree.
 func TestBusEquivalence(t *testing.T) {
 	sp := parseTestSpec(t)
 
@@ -120,6 +122,19 @@ func TestBusEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	memDigest := runScenario(t, memSys)
+
+	fileBus, err := orchestra.OpenShardedFileBus(filepath.Join(t.TempDir(), "bus.shards"), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fileBus.Close()
+	fileSys, err := orchestra.New(sp, orchestra.WithBus(fileBus))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fileDigest := runScenario(t, fileSys); fileDigest != memDigest {
+		t.Errorf("bus implementations diverged:\n-- memory --\n%s\n-- sharded file --\n%s", memDigest, fileDigest)
+	}
 
 	srv := orchestra.NewBusServer()
 	srv.ValidateAgainst(sp)
