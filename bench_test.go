@@ -1,8 +1,9 @@
 // Benchmarks regenerating the paper's evaluation (§6): one benchmark
-// family per figure. The cases live in internal/benchharness (GoBenches)
-// and are shared with cmd/benchfig -json, so the committed BENCH_*.json
-// snapshots measure exactly what these benchmarks measure. Sizes are
-// laptop-scale; run cmd/benchfig -scale N for the full parameter sweeps.
+// family per figure, plus the paper's own design comparisons. The cases
+// live in internal/benchharness (GoBenches); `make bench-smoke` runs each
+// once so they keep compiling. Sizes are laptop-scale; run
+// cmd/benchfig -scale N for the full parameter sweeps. Performance
+// claims are made with the repository benchmark (bench/README.md).
 package orchestra
 
 import (
@@ -64,24 +65,8 @@ func BenchmarkFig10(b *testing.B) { benchFig(b, 10) }
 // the cost a frozen-spec CDSS pays for any confederation change.
 func BenchmarkEvolveVsRebuild(b *testing.B) { benchFamily(b, "EvolveVsRebuild") }
 
-// BenchmarkExchangeAll measures confederation-wide exchange on a
-// 16-peer Fig.5-style chain with 8 queued publications per peer: the
-// serial one-apply-per-publication walk against publication coalescing
-// (one net apply per view) and the full exchange scheduler (coalesced
-// passes over a GOMAXPROCS-bounded worker pool). All variants end with
-// observationally identical views — see the exchange equivalence and
-// scheduler determinism property tests.
-func BenchmarkExchangeAll(b *testing.B) { benchFamily(b, "ExchangeAll") }
-
 // BenchmarkAblationProvTables compares §5's composite mapping table
 // against the pre-optimization per-RHS-atom encoding on a multi-relation
 // workload (the design choice DESIGN.md calls out; the paper reports the
 // composite form "performed better").
 func BenchmarkAblationProvTables(b *testing.B) { benchFamily(b, "AblationProvTables") }
-
-// BenchmarkServing measures the read path under a mixed query/write
-// load: baseline_* is the pre-optimization path (fixed-order plans, no
-// cache, no declared indexes), optimized_* turns on cost-based join
-// ordering, declared secondary indexes, and the provenance-invalidated
-// query cache. ns/op is per served query, writes amortized in.
-func BenchmarkServing(b *testing.B) { benchFamily(b, "Serving") }

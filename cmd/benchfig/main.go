@@ -1,35 +1,22 @@
 // Command benchfig regenerates the paper's evaluation figures (§6,
-// Figures 4–10) as text tables, or — with -json — runs the Go benchmark
-// cases behind BenchmarkFig4…Fig10 and emits a machine-readable report
-// (ns/op, allocs/op, bytes/op, custom metrics per figure). The JSON mode
-// produces the committed BENCH_*.json snapshots that record the repo's
-// performance trajectory; `make bench` writes one.
-//
-// With -compare, benchfig is the CI bench-regression gate: the
-// candidate measurements (a fresh run, or an existing report via -in)
-// are checked against a committed snapshot, and any case whose ns/op or
-// allocs/op regressed by more than -threshold percent makes benchfig
-// exit non-zero. `make bench-check` runs it against the newest
-// committed BENCH_*.json.
+// Figures 4–10) as text tables, including the baselines the paper
+// compares against: DRed and full recomputation (Figure 4) and the
+// DB2-style hash backend beside the Tukwila-style indexed one (Figures
+// 5, 7, 8). Performance claims about this repository are made with the
+// repository benchmark instead (bench/README.md).
 //
 // Usage:
 //
-//	benchfig                 # all figures at laptop scale, text tables
+//	benchfig                 # all figures at laptop scale
 //	benchfig -fig 4          # one figure
 //	benchfig -scale 5        # 5× larger base data
-//	benchfig -json           # machine-readable benchmark report to stdout
-//	benchfig -json -fig 5    # only Figure 5's cases
-//	benchfig -json -case '^Serving/'   # cases selected by name regexp
-//	benchfig -json -out f.json
-//	benchfig -compare BENCH_pr5.json -threshold 15            # run + gate
-//	benchfig -compare BENCH_pr5.json -in BENCH_last.json      # gate two snapshots
+//	benchfig -seed 7 -out figs.txt
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"regexp"
 	"sort"
 
 	"orchestra"
@@ -37,26 +24,10 @@ import (
 
 func main() {
 	fig := flag.Int("fig", 0, "figure number (4-10); 0 = all")
-	scale := flag.Float64("scale", 1, "base-data scale factor (1 = laptop defaults; table mode only)")
-	seed := flag.Int64("seed", 42, "workload seed (table mode only)")
-	jsonMode := flag.Bool("json", false, "run the Go benchmark cases and emit a JSON report")
-	caseRe := flag.String("case", "", "regexp selecting benchmark cases by name (ablation families like Serving/ have no figure number, so -fig cannot reach them)")
+	scale := flag.Float64("scale", 1, "base-data scale factor (1 = laptop defaults)")
+	seed := flag.Int64("seed", 42, "workload seed")
 	out := flag.String("out", "", "write output to this file instead of stdout")
-	compare := flag.String("compare", "", "gate mode: check the candidate measurements against this committed BENCH_*.json snapshot; exit non-zero on regression")
-	threshold := flag.Float64("threshold", 15, "regression threshold in percent for -compare (ns/op and allocs/op)")
-	in := flag.String("in", "", "with -compare: take the candidate measurements from this report instead of running the benchmarks")
-	samples := flag.Int("samples", 1, "measure each case this many times and keep each metric's minimum (noise suppression for tight-threshold gates)")
 	flag.Parse()
-
-	match, err := caseMatcher(*fig, *caseRe)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchfig: %v\n", err)
-		os.Exit(1)
-	}
-
-	if *compare != "" {
-		os.Exit(runGate(*compare, *in, *out, *threshold, match, *samples, *jsonMode))
-	}
 
 	dst := os.Stdout
 	if *out != "" {
@@ -67,26 +38,6 @@ func main() {
 		}
 		defer f.Close()
 		dst = f
-	}
-
-	if *jsonMode {
-		rep := orchestra.RunBenchCasesN(match, func(name string) {
-			fmt.Fprintf(os.Stderr, "benchfig: running %s\n", name)
-		}, *samples)
-		if len(rep.Results) == 0 {
-			fmt.Fprintf(os.Stderr, "benchfig: no benchmark cases matched\n")
-			os.Exit(1)
-		}
-		b, err := rep.MarshalIndent()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchfig: %v\n", err)
-			os.Exit(1)
-		}
-		if _, err := dst.Write(b); err != nil {
-			fmt.Fprintf(os.Stderr, "benchfig: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	cfg := orchestra.BenchConfig{Scale: *scale, Seed: *seed}
@@ -112,82 +63,4 @@ func main() {
 		}
 		fmt.Fprintln(dst, table.Render())
 	}
-}
-
-// caseMatcher combines the -fig and -case selectors into one predicate
-// (nil = run everything).
-func caseMatcher(fig int, caseRe string) (func(orchestra.BenchCase) bool, error) {
-	if fig == 0 && caseRe == "" {
-		return nil, nil
-	}
-	var re *regexp.Regexp
-	if caseRe != "" {
-		var err error
-		if re, err = regexp.Compile(caseRe); err != nil {
-			return nil, fmt.Errorf("bad -case regexp: %w", err)
-		}
-	}
-	return func(c orchestra.BenchCase) bool {
-		if fig != 0 && c.Fig != fig {
-			return false
-		}
-		return re == nil || re.MatchString(c.Name)
-	}, nil
-}
-
-// runGate is the bench-regression gate: it obtains the candidate report
-// (running the cases, or loading -in), optionally writes it out (-json
-// -out), compares it against the committed snapshot, and reports the
-// verdict. Returns the process exit code.
-func runGate(comparePath, inPath, outPath string, threshold float64, match func(orchestra.BenchCase) bool, samples int, jsonMode bool) int {
-	old, err := orchestra.LoadBenchReport(comparePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchfig: %v\n", err)
-		return 1
-	}
-	var cand orchestra.BenchReport
-	if inPath != "" {
-		if cand, err = orchestra.LoadBenchReport(inPath); err != nil {
-			fmt.Fprintf(os.Stderr, "benchfig: %v\n", err)
-			return 1
-		}
-	} else {
-		cand = orchestra.RunBenchCasesN(match, func(name string) {
-			fmt.Fprintf(os.Stderr, "benchfig: running %s\n", name)
-		}, samples)
-	}
-	if jsonMode {
-		b, err := cand.MarshalIndent()
-		if err == nil {
-			if outPath != "" {
-				err = os.WriteFile(outPath, b, 0o644)
-			} else {
-				_, err = os.Stdout.Write(b)
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchfig: writing candidate report: %v\n", err)
-			return 1
-		}
-	}
-	if old.GOOS != cand.GOOS || old.GOARCH != cand.GOARCH {
-		fmt.Fprintf(os.Stderr, "benchfig: warning: comparing %s/%s against %s/%s snapshot — ns/op deltas are not meaningful across platforms\n",
-			cand.GOOS, cand.GOARCH, old.GOOS, old.GOARCH)
-	}
-	c := orchestra.CompareBenchReports(old, cand, threshold)
-	for _, name := range c.OnlyOld {
-		fmt.Fprintf(os.Stderr, "benchfig: note: %s is in the snapshot but was not measured\n", name)
-	}
-	for _, name := range c.OnlyNew {
-		fmt.Fprintf(os.Stderr, "benchfig: note: %s is new (no snapshot baseline)\n", name)
-	}
-	if !c.Ok() {
-		fmt.Fprintf(os.Stderr, "benchfig: %d regression(s) vs %s (threshold %.0f%%):\n", len(c.Regressions), comparePath, threshold)
-		for _, r := range c.Regressions {
-			fmt.Fprintf(os.Stderr, "  %s\n", r)
-		}
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "benchfig: %d case(s) within %.0f%% of %s\n", c.Compared, threshold, comparePath)
-	return 0
 }

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	orchestra run   [-owner peer] [-strategy provenance|dred|recompute] [-backend indexed|hash] [-state dir] spec.cdss
+//	orchestra run   [-owner peer] [-state dir] spec.cdss
 //	orchestra query [-owner peer] [-nulls] -q "ans(x,y) :- U(x,y)" spec.cdss
 //	orchestra prov  [-owner peer] -rel U -tuple "2,5" spec.cdss
 //	orchestra graph [-owner peer] spec.cdss           # provenance graph in DOT
@@ -60,8 +60,6 @@ func run(args []string, out io.Writer) error {
 
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	owner := fs.String("owner", "", "peer whose view (and trust policy) to use; empty = global trust-all view")
-	strategy := fs.String("strategy", "provenance", "deletion strategy: provenance, dred, or recompute")
-	backend := fs.String("backend", "indexed", "engine backend: indexed (Tukwila-style) or hash (DB2-style)")
 	q := fs.String("q", "", "conjunctive query, e.g. 'ans(x,y) :- U(x,y)'")
 	nulls := fs.Bool("nulls", false, "include tuples with labeled nulls (superset of certain answers)")
 	rel := fs.String("rel", "", "relation name for prov")
@@ -98,7 +96,7 @@ func run(args []string, out io.Writer) error {
 			if fs.NArg() != 1 {
 				return fmt.Errorf("stats -explain expects exactly one spec file")
 			}
-			return explainCmd(ctx, fs.Arg(0), *explainQ, *owner, *backend, *stateDir, out)
+			return explainCmd(ctx, fs.Arg(0), *explainQ, *owner, *stateDir, out)
 		}
 		if fs.NArg() != 0 {
 			return fmt.Errorf("stats takes no spec file (use -state or -url)")
@@ -126,31 +124,7 @@ func run(args []string, out io.Writer) error {
 		return evolveCmd(ctx, parsed, *stateDir, *diffFile, *outFile, out)
 	}
 
-	var be orchestra.Backend
-	switch *backend {
-	case "indexed":
-		be = orchestra.BackendIndexed
-	case "hash":
-		be = orchestra.BackendHash
-	default:
-		return fmt.Errorf("unknown backend %q", *backend)
-	}
-	var strat orchestra.DeletionStrategy
-	switch *strategy {
-	case "provenance":
-		strat = orchestra.DeleteProvenance
-	case "dred":
-		strat = orchestra.DeleteDRed
-	case "recompute":
-		strat = orchestra.DeleteRecompute
-	default:
-		return fmt.Errorf("unknown strategy %q", *strategy)
-	}
-
-	sysOpts := []orchestra.Option{
-		orchestra.WithBackend(be),
-		orchestra.WithDeletionStrategy(strat),
-	}
+	var sysOpts []orchestra.Option
 	if *stateDir != "" {
 		sysOpts = append(sysOpts, orchestra.WithPersistence(*stateDir))
 	}
@@ -258,7 +232,7 @@ func queryErrDetail(err error) error {
 // explainCmd materializes the owner's view from a spec file (durably
 // when -state is given) and prints the physical plan the read path
 // would use for the query, without evaluating it.
-func explainCmd(ctx context.Context, specPath, q, owner, backend, stateDir string, out io.Writer) error {
+func explainCmd(ctx context.Context, specPath, q, owner, stateDir string, out io.Writer) error {
 	f, err := os.Open(specPath)
 	if err != nil {
 		return err
@@ -268,16 +242,7 @@ func explainCmd(ctx context.Context, specPath, q, owner, backend, stateDir strin
 	if perr != nil {
 		return perr
 	}
-	var be orchestra.Backend
-	switch backend {
-	case "indexed":
-		be = orchestra.BackendIndexed
-	case "hash":
-		be = orchestra.BackendHash
-	default:
-		return fmt.Errorf("unknown backend %q", backend)
-	}
-	sysOpts := []orchestra.Option{orchestra.WithBackend(be)}
+	var sysOpts []orchestra.Option
 	if stateDir != "" {
 		sysOpts = append(sysOpts, orchestra.WithPersistence(stateDir))
 	}

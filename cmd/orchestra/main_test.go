@@ -38,7 +38,6 @@ func TestRunCommands(t *testing.T) {
 	cases := [][]string{
 		{"show", path},
 		{"run", path},
-		{"run", "-backend", "hash", "-strategy", "dred", path},
 		{"run", "-owner", "PBioSQL", path},
 		{"query", "-q", "ans(x,y) :- U(x,y)", path},
 		{"query", "-nulls", "-q", "ans(x,y) :- U(x,y)", path},
@@ -106,10 +105,8 @@ func TestRunErrors(t *testing.T) {
 		{"bogus", path},                 // unknown command
 		{"run"},                         // missing spec
 		{"run", "/does/not/exist.cdss"}, // missing file
-		{"run", "-backend", "quantum", path},
-		{"run", "-strategy", "hope", path},
-		{"query", path}, // missing -q
-		{"prov", path},  // missing -rel/-tuple
+		{"query", path},                 // missing -q
+		{"prov", path},                  // missing -rel/-tuple
 		{"prov", "-rel", "B", "-tuple", "x", path}, // non-constant tuple
 		{"run", "-load", "/does/not/exist.orc", path},
 	}
@@ -117,6 +114,13 @@ func TestRunErrors(t *testing.T) {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("orchestra %v succeeded, want error", args)
 		}
+	}
+	// The deletion strategy is not a runtime choice: every peer runs the
+	// paper's provenance-driven algorithm (DRed and recomputation are
+	// Figure 4 baselines in cmd/benchfig).
+	err := run([]string{"run", "-strategy", "dred", path}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -strategy") {
+		t.Errorf("orchestra run -strategy dred: err = %v, want undefined flag", err)
 	}
 }
 

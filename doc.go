@@ -7,9 +7,7 @@
 // System over a parsed spec, publish edit logs, and run update exchange:
 //
 //	parsed, _ := orchestra.ParseSpecString(cdss)
-//	sys, _ := orchestra.New(parsed.Spec,
-//		orchestra.WithBackend(orchestra.BackendIndexed),
-//		orchestra.WithDeletionStrategy(orchestra.DeleteProvenance))
+//	sys, _ := orchestra.New(parsed.Spec)
 //	sys.Publish(ctx, "PGUS", orchestra.EditLog{orchestra.Ins("G", orchestra.MakeTuple(1, 2, 3))})
 //	sys.Exchange(ctx, "")                                 // import into the global view
 //	rows, _ := sys.Query(ctx, "", "ans(x,y) :- U(x,y)", false)
@@ -21,8 +19,11 @@
 // parallel, operations on one view are serialized. ExchangeAll exploits
 // exactly that — the per-view passes run concurrently over a bounded
 // worker pool (WithExchangeParallelism), and each pass coalesces its
-// pending publications into one net apply (WithExchangeCoalescing);
-// neither is observable in any view's final state.
+// pending publications into one net apply; neither is observable in
+// any view's final state. Maintenance runs the paper's indexed engine
+// and provenance-driven deletion; the baselines it is compared against
+// (DRed, recomputation, the hash backend) are figure modes of
+// cmd/benchfig, not options.
 //
 // Publications travel over a publication bus sharded by owning peer.
 // The bus surface is three composable capabilities — BusAppender,
@@ -65,10 +66,12 @@
 //     CDSS spec files;
 //   - cmd/orchestrad   — the shared publication service;
 //   - cmd/workloadgen  — §6.1 synthetic workload generation;
-//   - cmd/benchfig     — regeneration of the paper's Figures 4–10;
+//   - cmd/benchfig     — regeneration of the paper's Figures 4–10,
+//     baselines included;
 //   - examples/…       — quickstart and domain scenarios, all written
 //     against this package.
 //
 // The benchmarks in bench_test.go exercise the same per-figure harness
-// under `go test -bench`.
+// under `go test -bench`. Performance claims are measured with the
+// repository benchmark in bench/ (see bench/README.md).
 package orchestra

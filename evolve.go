@@ -26,9 +26,7 @@ import (
 //   - RemoveMapping and trust revocation are the paper's
 //     provenance-driven deletion generalized from tuple deletions to
 //     rule deletions: exactly the tuples whose every derivation uses a
-//     removed (or newly untrusted) mapping are deleted. Under
-//     WithDeletionStrategy(DeleteDRed/DeleteRecompute) the configured
-//     fallback runs instead.
+//     removed (or newly untrusted) mapping are deleted.
 //   - Base-level trust changes (peer distrust, base conditions) filter
 //     tuples at import time and are therefore history-dependent — a
 //     grant cannot resurrect tuples that were never imported, and a
@@ -82,8 +80,7 @@ func (s *System) AddMapping(ctx context.Context, decl string) error {
 // RemoveMapping removes the mapping with the given id from the running
 // system. Every materialized view deletes exactly the tuples whose every
 // derivation in the provenance graph uses the removed mapping (tuples
-// with surviving alternative derivations stay), per the configured
-// deletion strategy.
+// with surviving alternative derivations stay).
 func (s *System) RemoveMapping(ctx context.Context, id string) error {
 	return s.applyOps(ctx, []evolve.Op{{Kind: evolve.OpRemoveMapping, MappingID: id}})
 }
@@ -198,7 +195,7 @@ func (s *System) applyOpLocked(ctx context.Context, op evolve.Op, owners []strin
 		case evolve.OpAddMapping:
 			_, verr = h.view.AddMappings(ctx, newSpec, []string{op.Mapping.ID})
 		case evolve.OpRemoveMapping:
-			_, verr = h.view.RemoveMappings(ctx, newSpec, []string{op.MappingID}, s.strategy)
+			_, verr = h.view.RemoveMappings(ctx, newSpec, []string{op.MappingID}, core.DeleteProvenance)
 		case evolve.OpSetTrust, evolve.OpTrustDirective:
 			if owner == trustPeer && core.BaseTrustChanged(oldSpec, newSpec, trustPeer) {
 				if verr = s.replayViewLocked(ctx, owner, h, newSpec); verr != nil {
@@ -212,7 +209,7 @@ func (s *System) applyOpLocked(ctx context.Context, op evolve.Op, owners []strin
 					}
 				}
 			} else {
-				_, verr = h.view.ApplyTrust(ctx, newSpec, s.strategy)
+				_, verr = h.view.ApplyTrust(ctx, newSpec, core.DeleteProvenance)
 			}
 		}
 		if verr != nil && firstErr == nil {
@@ -241,7 +238,7 @@ func (s *System) replayViewLocked(ctx context.Context, owner string, h *viewHand
 		return fmt.Errorf("orchestra: bus holds %d publications but view %q has applied %d; cannot replay", len(deltas), owner, applied)
 	}
 	for _, d := range deltas[:applied] {
-		if _, err := v.ApplyEdits(ctx, d.Pub.Log, s.strategy); err != nil {
+		if _, err := v.ApplyEdits(ctx, d.Pub.Log, core.DeleteProvenance); err != nil {
 			return err
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"orchestra/internal/engine"
 	"orchestra/internal/provenance"
 	"orchestra/internal/statestore"
 )
@@ -356,12 +357,8 @@ func TestEvolveEquivalence(t *testing.T) {
 		}
 		seeds = n
 	}
-	for _, be := range []Backend{BackendIndexed, BackendHash} {
-		name := "indexed"
-		if be == BackendHash {
-			name = "hash"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, be := range testBackends {
+		t.Run(be.String(), func(t *testing.T) {
 			for seed := 0; seed < seeds; seed++ {
 				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 					runEvolveScenario(t, be, int64(seed))
@@ -371,7 +368,7 @@ func TestEvolveEquivalence(t *testing.T) {
 	}
 }
 
-func runEvolveScenario(t *testing.T, be Backend, seed int64) {
+func runEvolveScenario(t *testing.T, be engine.Backend, seed int64) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(seed))
 	w, err := NewWorkload(WorkloadConfig{
@@ -384,7 +381,7 @@ func runEvolveScenario(t *testing.T, be Backend, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(w.Spec, WithBackend(be))
+	sys, err := New(w.Spec, withBackend(be))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +556,7 @@ func runEvolveScenario(t *testing.T, be Backend, seed int64) {
 
 	// The oracle: a fresh System over the final spec and the same
 	// publication history.
-	fresh, err := New(sys.Spec(), WithBackend(be), WithBus(sys.Bus()))
+	fresh, err := New(sys.Spec(), withBackend(be), WithBus(sys.Bus()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,12 @@
-// Incremental: maintenance-strategy shootout (paper §4.2 and §6.3),
-// driven through the public orchestra API.
+// Incremental: provenance-driven deletion (paper §4.2 and §6.3), driven
+// through the public orchestra API.
 //
 // Loads a 5-peer, full-mappings CDSS (Figure 4's setting), then deletes a
-// growing share of the base data under each deletion strategy —
-// provenance-driven incremental (Fig. 3), DRed, and full recomputation —
-// verifying that all three converge to identical instances and reporting
-// their costs side by side.
+// growing share of the base data and reports what the incremental
+// algorithm (Fig. 3) did: exchange time and the goal-directed work in
+// ApplyStats. Each result is checked against a fresh System rebuilt from
+// the same publications. The comparison with DRed and full
+// recomputation is Figure 4 itself: go run ./cmd/benchfig -fig 4.
 //
 // Run with: go run ./examples/incremental
 package main
@@ -21,8 +22,7 @@ import (
 
 const baseEntries = 60
 
-func buildLoaded(strategy orchestra.DeletionStrategy) (*orchestra.Workload, *orchestra.System) {
-	ctx := context.Background()
+func buildLoaded(ctx context.Context) (*orchestra.Workload, *orchestra.System) {
 	w, err := orchestra.NewWorkload(orchestra.WorkloadConfig{
 		Peers:    5,
 		Topology: orchestra.TopologyComplete,
@@ -31,72 +31,67 @@ func buildLoaded(strategy orchestra.DeletionStrategy) (*orchestra.Workload, *orc
 		Seed:     42,
 	})
 	if err != nil {
-		log.Fatalf("%s: %v", strategy, err)
+		log.Fatal(err)
 	}
-	sys, err := orchestra.New(w.Spec,
-		orchestra.WithBackend(orchestra.BackendIndexed),
-		orchestra.WithDeletionStrategy(strategy),
-	)
+	sys, err := orchestra.New(w.Spec)
 	if err != nil {
-		log.Fatalf("%s: %v", strategy, err)
+		log.Fatal(err)
 	}
 	for _, peer := range w.PeerNames() {
 		if err := sys.Publish(ctx, peer, w.GenInsertions(peer, baseEntries)); err != nil {
-			log.Fatalf("%s: %v", strategy, err)
+			log.Fatal(err)
 		}
 	}
 	if _, err := sys.Exchange(ctx, ""); err != nil {
-		log.Fatalf("%s: %v", strategy, err)
+		log.Fatal(err)
 	}
 	return w, sys
 }
 
 func main() {
 	ctx := context.Background()
-	strategies := []orchestra.DeletionStrategy{
-		orchestra.DeleteProvenance, orchestra.DeleteDRed, orchestra.DeleteRecompute,
-	}
-
-	fmt.Printf("%-6s", "del%")
-	for _, s := range strategies {
-		fmt.Printf("  %-12s", s)
-	}
-	fmt.Println("  identical?")
+	fmt.Printf("%-6s  %-10s  %-8s  %-9s  %-8s  %-9s  %s\n",
+		"del%", "exchange", "tuples-", "provrows-", "checked", "rederived", "matches rebuild?")
 
 	for _, pct := range []int{10, 30, 50, 70} {
-		fmt.Printf("%-6d", pct)
-		var sizes []int
-		var stats []orchestra.ApplyStats
-		for _, strategy := range strategies {
-			w, sys := buildLoaded(strategy)
-			n := baseEntries * pct / 100
-			for _, peer := range w.PeerNames() {
-				if err := sys.Publish(ctx, peer, w.GenDeletions(peer, n)); err != nil {
-					log.Fatal(err)
-				}
-			}
-			start := time.Now()
-			st, err := sys.Exchange(ctx, "")
-			if err != nil {
+		w, sys := buildLoaded(ctx)
+		n := baseEntries * pct / 100
+		for _, peer := range w.PeerNames() {
+			if err := sys.Publish(ctx, peer, w.GenDeletions(peer, n)); err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("  %-12s", time.Since(start).Round(time.Millisecond))
-			total, err := sys.TotalRows("")
-			if err != nil {
-				log.Fatal(err)
-			}
-			sizes = append(sizes, total)
-			stats = append(stats, st)
 		}
-		same := sizes[0] == sizes[1] && sizes[1] == sizes[2]
-		fmt.Printf("  %v (%d rows)\n", same, sizes[0])
-		if !same {
-			log.Fatalf("strategies diverged: %v", sizes)
+		start := time.Now()
+		st, err := sys.Exchange(ctx, "")
+		if err != nil {
+			log.Fatal(err)
 		}
-		fmt.Printf("      incremental work: %d prov rows deleted, %d tuples deleted, %d derivability checks (%d survived)\n",
-			stats[0].ProvRowsDeleted, stats[0].TuplesDeleted, stats[0].Checked, stats[0].Rederived)
+		took := time.Since(start).Round(time.Millisecond)
+
+		// A fresh System replaying the same publications from zero is
+		// the consistent state (Def. 3.1) the incremental pass must reach.
+		fresh, err := orchestra.New(w.Spec, orchestra.WithBus(sys.Bus()))
+		if err != nil {
+			log.Fatal(err)
+		}
+		if _, err := fresh.Exchange(ctx, ""); err != nil {
+			log.Fatal(err)
+		}
+		got, err := sys.TotalRows("")
+		if err != nil {
+			log.Fatal(err)
+		}
+		want, err := fresh.TotalRows("")
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%-6d  %-10s  %-8d  %-9d  %-8d  %-9d  %v (%d rows)\n",
+			pct, took, st.TuplesDeleted, st.ProvRowsDeleted, st.Checked, st.Rederived, got == want, got)
+		if got != want {
+			log.Fatalf("incremental deletion diverged from the rebuild: %d vs %d rows", got, want)
+		}
 	}
-	fmt.Println("\nAll strategies converge to the same consistent state (Def. 3.1);")
-	fmt.Println("the provenance-driven algorithm does goal-directed work proportional")
-	fmt.Println("to the deleted share, while DRed over-deletes and re-derives.")
+	fmt.Println("\nThe provenance-driven algorithm does goal-directed work proportional")
+	fmt.Println("to the deleted share. For DRed and full recomputation on the same")
+	fmt.Println("setting, run: go run ./cmd/benchfig -fig 4")
 }

@@ -10,7 +10,28 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
+
+	"orchestra/internal/engine"
 )
+
+// testBackends are the engine backends the facade property suites run
+// on: §5's two physical designs. Deployments always run the indexed one;
+// the suites select the hash one through withBackend.
+var testBackends = []engine.Backend{engine.BackendIndexed, engine.BackendHash}
+
+// withBackend selects the physical engine backend. It lives here, not
+// among the public options: only the property suites choose a backend.
+func withBackend(be engine.Backend) Option {
+	return func(c *config) { c.opts.Backend = be }
+}
+
+// withSerialExchange reverts exchange passes to the reference
+// one-apply-per-publication replay — the oracle the exchange equivalence
+// property compares coalesced passes against. Like
+// withLegacyQueryPlanner, it is private to the tests.
+func withSerialExchange() Option {
+	return func(c *config) { c.serialExchange = true }
+}
 
 // exchangeWorkload builds a small confederation and a deterministic
 // publication history with insert/delete churn: rounds of per-peer
@@ -74,12 +95,8 @@ func TestExchangeEquivalence(t *testing.T) {
 		}
 		seeds = n
 	}
-	for _, be := range []Backend{BackendIndexed, BackendHash} {
-		name := "indexed"
-		if be == BackendHash {
-			name = "hash"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, be := range testBackends {
+		t.Run(be.String(), func(t *testing.T) {
 			for seed := 0; seed < seeds; seed++ {
 				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 					runExchangeEquivalence(t, be, int64(seed))
@@ -89,16 +106,16 @@ func TestExchangeEquivalence(t *testing.T) {
 	}
 }
 
-func runExchangeEquivalence(t *testing.T, be Backend, seed int64) {
+func runExchangeEquivalence(t *testing.T, be engine.Backend, seed int64) {
 	ctx := context.Background()
 	w, pubs := exchangeWorkload(t, seed)
 
-	ref, err := New(w.Spec, WithBackend(be),
-		WithExchangeCoalescing(false), WithExchangeParallelism(1))
+	ref, err := New(w.Spec, withBackend(be),
+		withSerialExchange(), WithExchangeParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := New(w.Spec, WithBackend(be), WithExchangeParallelism(4))
+	par, err := New(w.Spec, withBackend(be), WithExchangeParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,13 +260,13 @@ trust PBioSQL distrusts base G when id >= 3
 		// Same-publication churn of another distrusted tuple.
 		{Peer: "PGUS", Log: EditLog{Ins("G", MakeTuple(6, 1, 1)), Del("G", MakeTuple(6, 1, 1))}},
 	}
-	for _, be := range []Backend{BackendIndexed, BackendHash} {
-		ref, err := New(parsed.Spec, WithBackend(be),
-			WithExchangeCoalescing(false), WithExchangeParallelism(1))
+	for _, be := range testBackends {
+		ref, err := New(parsed.Spec, withBackend(be),
+			withSerialExchange(), WithExchangeParallelism(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := New(parsed.Spec, WithBackend(be), WithExchangeParallelism(4))
+		par, err := New(parsed.Spec, withBackend(be), WithExchangeParallelism(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,16 +308,12 @@ trust PBioSQL distrusts base G when id >= 3
 // writes only view-owned state.
 func TestExchangeAllDeterminism(t *testing.T) {
 	gmp := runtime.GOMAXPROCS(0)
-	for _, be := range []Backend{BackendIndexed, BackendHash} {
-		name := "indexed"
-		if be == BackendHash {
-			name = "hash"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, be := range testBackends {
+		t.Run(be.String(), func(t *testing.T) {
 			var want map[string][32]byte
 			for _, par := range []int{1, 4, gmp} {
 				w, pubs := exchangeWorkload(t, 99)
-				sys, err := New(w.Spec, WithBackend(be), WithExchangeParallelism(par))
+				sys, err := New(w.Spec, withBackend(be), WithExchangeParallelism(par))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -3,20 +3,19 @@ package benchharness
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 
 	"orchestra/internal/core"
 	"orchestra/internal/engine"
-	"orchestra/internal/exchange"
 	"orchestra/internal/tgd"
 	"orchestra/internal/workload"
 )
 
-// GoBench is one Go benchmark case reproducing a slice of a paper figure.
-// The cases back both bench_test.go (go test -bench) and cmd/benchfig
-// -json, so the committed BENCH_*.json snapshots measure exactly what the
-// benchmarks measure.
+// GoBench is one Go benchmark case reproducing a slice of a paper figure
+// (or one of the paper's design comparisons), run by bench_test.go under
+// go test -bench. Performance claims are made with the repository
+// benchmark (bench/, BENCHMARK.json); these cases keep the figures'
+// comparisons compiling and runnable.
 type GoBench struct {
 	// Fig is the paper figure the case belongs to (0 for ablations).
 	Fig int
@@ -61,74 +60,6 @@ func goBenchDeletionLogs(w *workload.Workload, entries int) []core.EditLog {
 		logs = append(logs, w.GenDeletions(peer, entries))
 	}
 	return logs
-}
-
-// Serving-benchmark parameters: a 4-peer fully connected confederation
-// with shared attributes (so every relation pair joins), integer data,
-// and one single-entry write per 64 served queries.
-const servingBase, servingWriteEvery = 50, 64
-
-func servingConfig() workload.Config {
-	return workload.Config{
-		Peers:    4,
-		Topology: workload.TopologyComplete,
-		AttrMode: workload.AttrsShared,
-		Dataset:  workload.DatasetInteger,
-		Seed:     goBenchSeed,
-	}
-}
-
-// servingQueries builds the hot query rotation over a seeded view — one
-// point probe per relation (a constant key sampled from the live
-// instance) plus joins over shared non-key attributes — and the
-// (relation, column) index declarations the optimized variant installs
-// to serve those probes from warm indexes.
-func servingQueries(spec *core.Spec, v *core.View) (queries []string, indexes [][2]string) {
-	rels := spec.Universe.Relations()
-	for qi, r := range rels {
-		rows := v.Instance(r.Name).Rows()
-		if len(rows) == 0 || len(r.Cols) < 2 {
-			continue
-		}
-		key := rows[len(rows)/2][0].AsInt()
-		vars := make([]string, len(r.Cols)-1)
-		for i := range vars {
-			vars[i] = fmt.Sprintf("x%d", i)
-		}
-		queries = append(queries, fmt.Sprintf("p%d(%s) :- %s(%d, %s)",
-			qi, strings.Join(vars, ","), r.Name, key, strings.Join(vars, ",")))
-		indexes = append(indexes, [2]string{r.Name, r.Cols[0].Name})
-	}
-	for i := 0; i+1 < len(rels); i += 2 {
-		a, c := rels[i], rels[i+1]
-		shared, pa, pb := "", -1, -1
-		for ai := 1; ai < len(a.Cols) && shared == ""; ai++ {
-			for bi := 1; bi < len(c.Cols); bi++ {
-				if a.Cols[ai].Name == c.Cols[bi].Name {
-					shared, pa, pb = a.Cols[ai].Name, ai, bi
-					break
-				}
-			}
-		}
-		if shared == "" {
-			continue
-		}
-		arg := func(prefix string, n, at int) string {
-			parts := make([]string, n)
-			for k := range parts {
-				if k == at {
-					parts[k] = "s"
-				} else {
-					parts[k] = fmt.Sprintf("%s%d", prefix, k)
-				}
-			}
-			return strings.Join(parts, ",")
-		}
-		queries = append(queries, fmt.Sprintf("j%d(s) :- %s(%s), %s(%s)",
-			i, a.Name, arg("a", len(a.Cols), pa), c.Name, arg("b", len(c.Cols), pb)))
-		indexes = append(indexes, [2]string{c.Name, shared})
-	}
-	return queries, indexes
 }
 
 func backendBenchName(be engine.Backend) string {
@@ -416,168 +347,6 @@ func GoBenches() []GoBench {
 				}
 			}
 		}})
-	}
-
-	// ExchangeAll: confederation-wide exchange on a 16-peer Fig.5-style
-	// chain with 8 queued publications per peer — the serial
-	// one-apply-per-publication walk against publication coalescing
-	// (one net apply per view) and the full scheduler (coalesced passes
-	// over a GOMAXPROCS-bounded worker pool). Every variant ends with
-	// observationally identical views; the deltas are pure wall-clock.
-	{
-		const peers, pubsPerPeer, editsPerPub = 16, 8, 4
-		cfg := goBenchChainConfig(peers, workload.DatasetInteger)
-		type exchangeSetup struct {
-			bus   *core.MemoryBus
-			views []*core.View
-		}
-		setup := func(b *testing.B) *exchangeSetup {
-			ctx := context.Background()
-			w, err := workload.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			bus := core.NewMemoryBus()
-			for r := 0; r < pubsPerPeer; r++ {
-				for _, peer := range w.PeerNames() {
-					log := w.GenInsertions(peer, editsPerPub)
-					if r%2 == 1 {
-						// Mix in deletions of earlier insertions so the run
-						// holds insert+delete pairs for coalescing to cancel
-						// and deletion cascades for the serial replay to pay.
-						log = append(log, w.GenDeletions(peer, 2)...)
-					}
-					if err := core.PublishTo(ctx, bus, w.Spec, peer, log); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			s := &exchangeSetup{bus: bus, views: make([]*core.View, len(w.PeerNames()))}
-			for i, peer := range w.PeerNames() {
-				if s.views[i], err = core.NewView(w.Spec, peer, core.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			return s
-		}
-		run := func(b *testing.B, pass func(b *testing.B, s *exchangeSetup)) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				s := setup(b)
-				b.StartTimer()
-				pass(b, s)
-			}
-		}
-		out = append(out, GoBench{Fig: 0, Name: "ExchangeAll/serial_perpub", Sub: "serial_perpub", Run: func(b *testing.B) {
-			run(b, func(b *testing.B, s *exchangeSetup) {
-				for _, v := range s.views {
-					if _, _, err := core.ExchangeInto(context.Background(), s.bus, v, core.Cursor{}, core.DeleteProvenance); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}})
-		out = append(out, GoBench{Fig: 0, Name: "ExchangeAll/coalesced", Sub: "coalesced", Run: func(b *testing.B) {
-			run(b, func(b *testing.B, s *exchangeSetup) {
-				for _, v := range s.views {
-					if _, _, err := core.ExchangeCoalesced(context.Background(), s.bus, v, core.Cursor{}, core.DeleteProvenance); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}})
-		out = append(out, GoBench{Fig: 0, Name: "ExchangeAll/parallel_coalesced", Sub: "parallel_coalesced", Run: func(b *testing.B) {
-			sched := exchange.NewScheduler[core.ApplyStats](0)
-			run(b, func(b *testing.B, s *exchangeSetup) {
-				tasks := make([]exchange.Task[core.ApplyStats], len(s.views))
-				for i, v := range s.views {
-					tasks[i] = exchange.Task[core.ApplyStats]{Owner: v.Owner(), Run: func(ctx context.Context) (core.ApplyStats, error) {
-						_, stats, err := core.ExchangeCoalesced(ctx, s.bus, v, core.Cursor{}, core.DeleteProvenance)
-						return stats, err
-					}}
-				}
-				if _, err := sched.Run(context.Background(), tasks); err != nil {
-					b.Fatal(err)
-				}
-			})
-		}})
-	}
-
-	// Serving: the read path under a mixed query/write load — a hot
-	// rotation of point probes and shared-attribute joins with a trickle
-	// of writes (one small edit log every servingWriteEvery queries).
-	// baseline_* is the pre-optimization read path: fixed-order plans, no
-	// query cache, no declared indexes. optimized_* turns on cost-based
-	// join ordering, declared secondary indexes, and the provenance-
-	// invalidated query cache. ns/op is per served query (writes
-	// amortized in); both variants run the identical operation sequence.
-	{
-		type servingSetup struct {
-			w       *workload.Workload
-			view    *core.View
-			queries []string
-		}
-		setup := func(b *testing.B, be engine.Backend, optimized bool) *servingSetup {
-			w, err := workload.New(servingConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			opts := core.Options{Backend: be}
-			if !optimized {
-				opts.LegacyQueryPlanner = true
-				opts.QueryCacheSize = -1
-			}
-			v, err := core.NewView(w.Spec, "", opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			logs := w.GenBase(servingBase)
-			for _, peer := range w.PeerNames() {
-				if _, err := v.ApplyEdits(context.Background(), logs[peer], core.DeleteProvenance); err != nil {
-					b.Fatal(err)
-				}
-			}
-			queries, indexes := servingQueries(w.Spec, v)
-			if len(queries) == 0 {
-				b.Fatal("no serving queries generated")
-			}
-			if optimized {
-				for _, d := range indexes {
-					if err := v.DeclareSecondaryIndex(d[0], d[1]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			return &servingSetup{w: w, view: v, queries: queries}
-		}
-		serve := func(be engine.Backend, optimized bool) func(b *testing.B) {
-			return func(b *testing.B) {
-				s := setup(b, be, optimized)
-				peersN := len(s.w.PeerNames())
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if i > 0 && i%servingWriteEvery == 0 {
-						peer := s.w.PeerNames()[(i/servingWriteEvery)%peersN]
-						if _, err := s.view.ApplyEdits(context.Background(), s.w.GenInsertions(peer, 1), core.DeleteProvenance); err != nil {
-							b.Fatal(err)
-						}
-					}
-					if _, err := s.view.Query(context.Background(), s.queries[i%len(s.queries)], true); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}
-		for _, be := range []engine.Backend{engine.BackendIndexed, engine.BackendHash} {
-			for _, optimized := range []bool{false, true} {
-				variant := "baseline"
-				if optimized {
-					variant = "optimized"
-				}
-				sub := fmt.Sprintf("%s_%s", variant, backendBenchName(be))
-				out = append(out, GoBench{Fig: 0, Name: "Serving/" + sub, Sub: sub, Run: serve(be, optimized)})
-			}
-		}
 	}
 
 	// Ablation: §5's composite mapping table against the per-RHS-atom

@@ -43,8 +43,8 @@ type Options struct {
 	QueryCacheSize int
 	// LegacyQueryPlanner reverts query-time plans to the maintenance
 	// engine's fixed join order (no statistics, no warm-index pickup).
-	// It exists as the baseline for the plan-equivalence property test
-	// and the serving benchmark; leave it false in production.
+	// It exists as the baseline for the plan-equivalence property test;
+	// leave it false in production.
 	LegacyQueryPlanner bool
 }
 

@@ -66,8 +66,9 @@ const (
 // bus cursor (core.Cursor.String): the same total as Cursor plus the
 // per-shard breakdown push streaming resumes from. Manifests written
 // before sharded cursors carry only the scalar Cursor; recovery
-// migrates them by treating the total as a scalar cursor, which the
-// first pull exchange upgrades to an exact vector.
+// discards such a snapshot and rebuilds the view from publication
+// zero, as it does for a snapshot taken under another spec (a snapshot
+// is a cache of the log).
 type ViewState struct {
 	Owner      string `json:"owner"`
 	Cursor     int    `json:"cursor"`

@@ -10,14 +10,14 @@ import (
 // config collects the functional options of New.
 type config struct {
 	opts     core.Options
-	strategy core.DeletionStrategy
 	bus      core.PublicationBus
 	policies map[string]*trust.Policy
 	persist  *persistConfig
 	// exchPar bounds ExchangeAll's per-view worker pool (0 = GOMAXPROCS).
 	exchPar int
 	// serialExchange reverts exchange passes to the reference
-	// one-apply-per-publication replay (WithExchangeCoalescing(false)).
+	// one-apply-per-publication replay. Only the exchange equivalence
+	// property test sets it, as its oracle (withSerialExchange).
 	serialExchange bool
 	// obs attaches an operations plane (WithObservability).
 	obs *Observability
@@ -48,35 +48,6 @@ const checkpointManual = -1
 // Option configures a System at construction time.
 type Option func(*config)
 
-// WithBackend selects the physical evaluation engine (BackendIndexed or
-// BackendHash). The default is BackendIndexed.
-func WithBackend(b Backend) Option {
-	return func(c *config) { c.opts.Backend = b }
-}
-
-// WithDeletionStrategy selects how deletions propagate during exchange
-// (DeleteProvenance, DeleteDRed, or DeleteRecompute). The default is the
-// paper's provenance-driven incremental algorithm.
-func WithDeletionStrategy(s DeletionStrategy) Option {
-	return func(c *config) { c.strategy = s }
-}
-
-// WithMaxIterations bounds every fixpoint loop as a safety net against
-// non-terminating mapping sets (0 = engine default).
-func WithMaxIterations(n int) Option {
-	return func(c *config) { c.opts.MaxIterations = n }
-}
-
-// WithParallelism bounds the worker pool that evaluates the rules of one
-// semi-naive round concurrently. The default (0) uses GOMAXPROCS;
-// WithParallelism(1) forces fully sequential evaluation. Every setting
-// produces identical instances, provenance, and fixpoints — rounds fire
-// against immutable tables and derived batches merge in deterministic
-// rule order — so this is purely a throughput knob.
-func WithParallelism(n int) Option {
-	return func(c *config) { c.opts.Parallelism = n }
-}
-
 // WithExchangeParallelism bounds the worker pool ExchangeAll uses to run
 // the per-view exchange passes concurrently. Peer views are
 // data-independent consumers of the shared publication bus — each owns
@@ -84,32 +55,10 @@ func WithParallelism(n int) Option {
 // runs in parallel; the default (0) uses GOMAXPROCS, and
 // WithExchangeParallelism(1) restores the serial walk in peer
 // registration order. Every setting produces byte-identical views (the
-// scheduler determinism property test pins this down), so like
-// WithParallelism this is purely a throughput knob.
+// scheduler determinism property test pins this down), so this is
+// purely a throughput knob.
 func WithExchangeParallelism(n int) Option {
 	return func(c *config) { c.exchPar = n }
-}
-
-// WithExchangeCoalescing toggles publication coalescing during exchange
-// (default on): a view's pending run of publications is merged into one
-// net maintenance operation — insert+delete pairs cancel before any
-// propagation runs, and one deletion cascade plus one insertion
-// fixpoint replace N sequential ones. WithExchangeCoalescing(false)
-// restores the original one-apply-per-publication replay; the two are
-// observationally equivalent (instances, rejections, provenance
-// derivations, labeled-null bijection — the exchange equivalence
-// property test compares them), so coalescing too is purely a
-// throughput knob. A coalesced pass advances the cursor all-or-nothing,
-// while the per-publication replay advances past each fully applied
-// publication.
-func WithExchangeCoalescing(on bool) Option {
-	return func(c *config) { c.serialExchange = !on }
-}
-
-// WithSplitProvTables reverts §5's composite-mapping-table optimization:
-// one provenance table per RHS atom instead of one per mapping.
-func WithSplitProvTables(on bool) Option {
-	return func(c *config) { c.opts.SplitProvTables = on }
 }
 
 // WithBus selects the publication bus the system exchanges through: an

@@ -35,14 +35,13 @@ type System struct {
 	spec *core.Spec
 	// specGen counts applied evolution operations (0 at New); see
 	// SpecGeneration.
-	specGen  int
-	opts     core.Options
-	strategy core.DeletionStrategy
-	bus      core.PublicationBus
+	specGen int
+	opts    core.Options
+	bus     core.PublicationBus
 	// sched runs ExchangeAll's per-view passes over a bounded worker
-	// pool (WithExchangeParallelism); coalesce selects the coalesced
-	// pass over the reference per-publication replay
-	// (WithExchangeCoalescing).
+	// pool (WithExchangeParallelism). coalesce selects the coalesced
+	// pass; it is false only in the exchange equivalence test's
+	// reference System, which replays one publication per apply.
 	sched    *exchange.Scheduler[ApplyStats]
 	coalesce bool
 
@@ -122,13 +121,16 @@ func (h *viewHandle) takePush() ([]core.Delta, bool) {
 }
 
 // New builds a System over a validated Spec. By default it runs embedded
-// — in-memory bus, indexed backend, provenance-driven deletions; the
-// options select other backends, strategies, trust policies, and buses.
+// on an in-memory bus; the options select trust policies, buses,
+// durability, observability, and read-path tuning. Maintenance always
+// uses the indexed engine backend and the paper's provenance-driven
+// deletion algorithm (§4.2); the baselines the paper compares them
+// against live in internal/benchharness and cmd/benchfig.
 func New(sp *Spec, opts ...Option) (*System, error) {
 	if sp == nil {
 		return nil, fmt.Errorf("orchestra: nil spec")
 	}
-	cfg := config{strategy: core.DeleteProvenance}
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -169,7 +171,6 @@ func New(sp *Spec, opts ...Option) (*System, error) {
 	s := &System{
 		spec:     sp,
 		opts:     cfg.opts,
-		strategy: cfg.strategy,
 		sched:    exchange.NewScheduler[ApplyStats](cfg.exchPar),
 		coalesce: !cfg.serialExchange,
 		secIdx:   cfg.secIdx,
@@ -360,14 +361,13 @@ func fileEditRuns(f *SpecFile) []Publication {
 
 // Exchange performs update exchange for one owner's view: every
 // publication on the bus since the view's previous exchange is imported
-// in global publication order, with deletions propagated by the
-// configured strategy and trust applied per the owner's policy. By
-// default the pending run is coalesced into one net maintenance
-// operation (see WithExchangeCoalescing); the result is observationally
-// identical to the per-publication replay. Cancellation via ctx reaches
-// the engine's fixpoint loops; a cancelled exchange leaves the view's
-// cursor unadvanced past the last fully applied publication (coalesced
-// passes advance all-or-nothing).
+// in global publication order, with deletions propagated through
+// provenance and trust applied per the owner's policy. The pending run
+// is coalesced into one net maintenance operation, observationally
+// identical to replaying it one publication at a time (the exchange
+// equivalence property test compares the two). Cancellation via ctx
+// reaches the engine's fixpoint loops; a cancelled exchange leaves the
+// view's cursor unadvanced (a coalesced pass advances all-or-nothing).
 //
 // Under WithPersistence, a completed exchange checkpoints the view per
 // the configured policy (while still holding the view's lock, so the
@@ -426,7 +426,7 @@ func (s *System) exchangeLocked(ctx context.Context, owner string, h *viewHandle
 // falls back to the pull fetch. The caller holds h.mu.
 func (s *System) importLocked(ctx context.Context, owner string, h *viewHandle) (ApplyStats, error) {
 	if deltas, overflow := h.takePush(); !overflow && len(deltas) > 0 {
-		next, stats, handled, err := core.ExchangeDeltas(ctx, h.view, h.cursor, deltas, s.strategy)
+		next, stats, handled, err := core.ExchangeDeltas(ctx, h.view, h.cursor, deltas, core.DeleteProvenance)
 		if handled {
 			if err != nil {
 				return stats, err
@@ -445,9 +445,9 @@ func (s *System) importLocked(ctx context.Context, owner string, h *viewHandle) 
 		err   error
 	)
 	if s.coalesce {
-		next, stats, err = core.ExchangeCoalesced(ctx, s.bus, h.view, h.cursor, s.strategy)
+		next, stats, err = core.ExchangeCoalesced(ctx, s.bus, h.view, h.cursor, core.DeleteProvenance)
 	} else {
-		next, stats, err = core.ExchangeInto(ctx, s.bus, h.view, h.cursor, s.strategy)
+		next, stats, err = core.ExchangeInto(ctx, s.bus, h.view, h.cursor, core.DeleteProvenance)
 	}
 	if next.Total() < h.cursor.Total() {
 		// Never regress the cursor: with no error this means the bus lost

@@ -52,37 +52,6 @@ func TestWithSecondaryIndexValidation(t *testing.T) {
 	defer sys.Close()
 }
 
-func TestSecondaryIndexServesQueryPlan(t *testing.T) {
-	// On the hash backend a probe only shows "persistent index" when a
-	// declared index exists — transient builds otherwise — so the explain
-	// output proves the declaration took effect.
-	sys, err := orchestra.New(parseTestSpec(t),
-		orchestra.WithBackend(orchestra.BackendHash),
-		orchestra.WithSecondaryIndex("", "B", "id"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	seedExample(t, sys, "")
-	plan, err := sys.ExplainQuery(context.Background(), "", "ans(i,n) :- G(i,c,m), B(i,n)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "persistent index") {
-		t.Fatalf("declared index not used by the plan:\n%s", plan)
-	}
-	if !strings.Contains(plan, "cost-based") {
-		t.Fatalf("query plan not cost-based:\n%s", plan)
-	}
-	rows, err := sys.Query(context.Background(), "", "ans(i,n) :- B(i,n)", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 {
-		t.Fatal("indexed view answered nothing")
-	}
-}
-
 func TestQueryCacheFacadeStatsAndMetrics(t *testing.T) {
 	ctx := context.Background()
 	o := orchestra.NewObservability(0)

@@ -40,10 +40,6 @@ type (
 	// QueryError is a structured query parse/validation failure carrying
 	// the byte offset of the offending fragment (see its Detail method).
 	QueryError = core.QueryError
-	// DeletionStrategy selects how deletions are propagated (§6.3).
-	DeletionStrategy = core.DeletionStrategy
-	// Backend selects the physical evaluation engine (§5).
-	Backend = engine.Backend
 	// Tuple is a row of constants and labeled nulls.
 	Tuple = value.Tuple
 	// Value is one column of a tuple.
@@ -66,24 +62,6 @@ type (
 	SpecDiff = evolve.Diff
 	// SpecOp is one spec-evolution operation of a SpecDiff.
 	SpecOp = evolve.Op
-)
-
-// Deletion strategies (§6.3's three contenders).
-const (
-	// DeleteProvenance is the paper's incremental algorithm (Fig. 3).
-	DeleteProvenance = core.DeleteProvenance
-	// DeleteDRed is the DRed baseline: over-delete, then re-derive.
-	DeleteDRed = core.DeleteDRed
-	// DeleteRecompute recomputes all derived state from base tables.
-	DeleteRecompute = core.DeleteRecompute
-)
-
-// Engine backends (§5's two physical designs).
-const (
-	// BackendIndexed is the Tukwila-style indexed backend.
-	BackendIndexed = engine.BackendIndexed
-	// BackendHash is the DB2-style transient-hash backend.
-	BackendHash = engine.BackendHash
 )
 
 // Ins builds an insertion edit.
@@ -191,46 +169,7 @@ type (
 	BenchConfig = benchharness.Config
 	// BenchTable is one rendered figure.
 	BenchTable = benchharness.Table
-	// BenchCase is one Go benchmark case shared between go test -bench
-	// and cmd/benchfig -json.
-	BenchCase = benchharness.GoBench
-	// BenchReport is the machine-readable result of a benchmark run —
-	// the committed BENCH_*.json snapshot format.
-	BenchReport = benchharness.BenchReport
-	// BenchComparison is the outcome of gating a candidate report
-	// against a committed snapshot (cmd/benchfig -compare).
-	BenchComparison = benchharness.Comparison
-	// BenchRegression is one benchmark case that regressed past the
-	// gate's threshold.
-	BenchRegression = benchharness.Regression
 )
 
 // BenchFigures maps figure number (4–10) to its runner.
 var BenchFigures = benchharness.Figures
-
-// RunBenchCases runs the registered Go benchmark cases (filtered by
-// match; nil = all) and collects a BenchReport.
-func RunBenchCases(match func(BenchCase) bool, progress func(name string)) BenchReport {
-	return benchharness.RunGoBenches(match, progress)
-}
-
-// RunBenchCasesN is RunBenchCases measuring each case samples times and
-// keeping each metric's minimum — the noise-robust estimator behind
-// tight-threshold gates (cmd/benchfig -samples).
-func RunBenchCasesN(match func(BenchCase) bool, progress func(name string), samples int) BenchReport {
-	return benchharness.RunGoBenchesN(match, progress, samples)
-}
-
-// LoadBenchReport reads a BENCH_*.json snapshot from disk.
-func LoadBenchReport(path string) (BenchReport, error) {
-	return benchharness.LoadReport(path)
-}
-
-// CompareBenchReports gates a candidate benchmark report against an
-// older snapshot: any case whose ns/op or allocs/op exceeds the
-// snapshot's by more than thresholdPct percent is a regression (growing
-// from zero always is). This is the comparator behind cmd/benchfig
-// -compare and the CI bench-regression gate (`make bench-check`).
-func CompareBenchReports(old, new BenchReport, thresholdPct float64) BenchComparison {
-	return benchharness.CompareReports(old, new, thresholdPct)
-}
