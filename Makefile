@@ -25,9 +25,12 @@ lint: bin/orchestralint
 	$(GO) vet ./...
 	$(GO) vet -vettool=bin/orchestralint ./...
 	@# Deleted surface must not grow back: the pre-shard bus, the
-	@# baselines-as-options (figure modes of cmd/benchfig instead), and
-	@# the old benchmark-snapshot gate (bench/ is the one benchmark).
-	@if grep -rnE 'FetchSince|CursorFromTotal|AdaptBus|LegacyBus|"/since"|WithBackend|WithDeletionStrategy|WithMaxIterations|WithSplitProvTables|WithExchangeCoalescing|CompareBenchReports|RunBenchCases|LoadBenchReport|\bWithParallelism\b' \
+	@# baselines-as-options (figure modes of cmd/benchfig instead), the
+	@# old benchmark-snapshot gate (bench/ is the one benchmark), the
+	@# second orchestrator (orchestra.System is the one), and the
+	@# test-only provenance wrappers and §4.1.3 inverse program (the
+	@# inverse program is a test oracle in internal/core).
+	@if grep -rnE 'FetchSince|CursorFromTotal|AdaptBus|LegacyBus|"/since"|WithBackend|WithDeletionStrategy|WithMaxIterations|WithSplitProvTables|WithExchangeCoalescing|CompareBenchReports|RunBenchCases|LoadBenchReport|\bWithParallelism\b|NewCDSS|RestoreInto|TrustEval|RankTrust|DerivationCounts|SupportDeclarative|InverseProgram' \
 		--include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . ; then \
 		echo "lint: removed surface reappeared (see above)"; exit 1; fi
 

@@ -87,14 +87,7 @@ func publishAll(t *testing.T, sys *System, pubs []Publication) {
 // publications. Runs on both backends; raise ORCHESTRA_EXCHANGE_SEEDS
 // for a deeper sweep (the nightly CI job does).
 func TestExchangeEquivalence(t *testing.T) {
-	seeds := 3
-	if s := os.Getenv("ORCHESTRA_EXCHANGE_SEEDS"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			t.Fatalf("bad ORCHESTRA_EXCHANGE_SEEDS %q", s)
-		}
-		seeds = n
-	}
+	seeds := exchangeSeeds(t, 3)
 	for _, be := range testBackends {
 		t.Run(be.String(), func(t *testing.T) {
 			for seed := 0; seed < seeds; seed++ {
@@ -104,6 +97,22 @@ func TestExchangeEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// exchangeSeeds is the number of random workloads an exchange property
+// sweeps: ORCHESTRA_EXCHANGE_SEEDS when set (the nightly CI job raises
+// it), def otherwise.
+func exchangeSeeds(t *testing.T, def int) int {
+	t.Helper()
+	s := os.Getenv("ORCHESTRA_EXCHANGE_SEEDS")
+	if s == "" {
+		return def
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		t.Fatalf("bad ORCHESTRA_EXCHANGE_SEEDS %q", s)
+	}
+	return n
 }
 
 func runExchangeEquivalence(t *testing.T, be engine.Backend, seed int64) {
@@ -305,37 +314,52 @@ trust PBioSQL distrusts base G when id >= 3
 // backends. Unlike the equivalence test's bijection, this is exact
 // equality: scheduling must not leak into any view's state, because
 // every view's pass reads only the shared (immutable-prefix) bus and
-// writes only view-owned state.
+// writes only view-owned state. A second ExchangeAll must then apply
+// nothing. It runs seed 99; ORCHESTRA_EXCHANGE_SEEDS widens it to that
+// many consecutive seeds from 99.
 func TestExchangeAllDeterminism(t *testing.T) {
 	gmp := runtime.GOMAXPROCS(0)
+	seeds := exchangeSeeds(t, 1)
 	for _, be := range testBackends {
 		t.Run(be.String(), func(t *testing.T) {
-			var want map[string][32]byte
-			for _, par := range []int{1, 4, gmp} {
-				w, pubs := exchangeWorkload(t, 99)
-				sys, err := New(w.Spec, withBackend(be), WithExchangeParallelism(par))
-				if err != nil {
-					t.Fatal(err)
-				}
-				publishAll(t, sys, pubs)
-				// Materialize the global view so ExchangeAll covers it.
-				if _, err := sys.Exchange(context.Background(), ""); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := sys.ExchangeAll(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-				got := snapshotDigests(t, sys)
-				if want == nil {
-					want = got
-					continue
-				}
-				if len(got) != len(want) {
-					t.Fatalf("parallelism %d: %d views, want %d", par, len(got), len(want))
-				}
-				for owner, sum := range got {
-					if sum != want[owner] {
-						t.Errorf("parallelism %d: view %q snapshot differs from parallelism 1", par, owner)
+			for seed := int64(99); seed < int64(99+seeds); seed++ {
+				var want map[string][32]byte
+				for _, par := range []int{1, 4, gmp} {
+					w, pubs := exchangeWorkload(t, seed)
+					sys, err := New(w.Spec, withBackend(be), WithExchangeParallelism(par))
+					if err != nil {
+						t.Fatal(err)
+					}
+					publishAll(t, sys, pubs)
+					// Materialize the global view so ExchangeAll covers it.
+					if _, err := sys.Exchange(context.Background(), ""); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := sys.ExchangeAll(context.Background()); err != nil {
+						t.Fatal(err)
+					}
+					// Nothing is pending, so a second pass applies nothing.
+					rerun, err := sys.ExchangeAll(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					for owner, st := range rerun {
+						if st.InsL+st.DelL+st.InsR+st.DelR != 0 {
+							t.Fatalf("seed %d, parallelism %d: rerun applied work to view %q: %+v", seed, par, owner, st)
+						}
+					}
+					got := snapshotDigests(t, sys)
+					if want == nil {
+						want = got
+						continue
+					}
+					if len(got) != len(want) {
+						t.Fatalf("seed %d, parallelism %d: %d views, want %d", seed, par, len(got), len(want))
+					}
+					for owner, sum := range got {
+						if sum != want[owner] {
+							t.Errorf("seed %d, parallelism %d: view %q snapshot differs from parallelism 1", seed, par, owner)
+						}
 					}
 				}
 			}

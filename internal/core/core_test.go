@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"orchestra/internal/engine"
+	"orchestra/internal/provenance"
 	"orchestra/internal/schema"
 	"orchestra/internal/storage"
 	"orchestra/internal/tgd"
@@ -122,6 +123,17 @@ func viewsEqual(t *testing.T, a, b *View, context string) {
 }
 
 func hasRow(tbl *storage.Table, t value.Tuple) bool { return tbl != nil && tbl.Contains(t) }
+
+// OutRef is the provenance-graph node of a user relation's instance
+// tuple.
+func OutRef(rel string, t value.Tuple) provenance.Ref {
+	return provenance.NewRef(OutputRel(rel), t)
+}
+
+// BaseRef is the provenance-graph node (token) of a base contribution.
+func BaseRef(rel string, t value.Tuple) provenance.Ref {
+	return provenance.NewRef(LocalRel(rel), t)
+}
 
 func TestExample3Instances(t *testing.T) {
 	for _, be := range []engine.Backend{engine.BackendIndexed, engine.BackendHash} {
@@ -463,57 +475,61 @@ func TestDeletionStrategiesAgreeRandomized(t *testing.T) {
 	}
 }
 
+// TestCDSSOrchestration drives §2's operating model on the embedded
+// path: peers publish to a shared bus, and each peer's view imports at
+// its own pace from its own cursor.
 func TestCDSSOrchestration(t *testing.T) {
-	c := NewCDSS(paperSpec(t, nil), Options{}, DeleteProvenance)
-	if err := c.Publish(context.Background(), "PGUS", example3Logs()["PGUS"]); err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	spec := paperSpec(t, nil)
+	bus := NewMemoryBus()
+	for _, peer := range []string{"PGUS", "PBioSQL", "PuBio"} {
+		if err := PublishTo(ctx, bus, spec, peer, example3Logs()[peer]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := c.Publish(context.Background(), "PBioSQL", example3Logs()["PBioSQL"]); err != nil {
-		t.Fatal(err)
+	// pending = horizon − the view's cursor.
+	pending := func(c Cursor) int {
+		h, err := bus.Horizon(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h.Total() - c.Total()
 	}
-	if err := c.Publish(context.Background(), "PuBio", example3Logs()["PuBio"]); err != nil {
-		t.Fatal(err)
+	exchange := func(owner string) (*View, Cursor, ApplyStats) {
+		v, err := NewView(spec, owner, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, stats, err := ExchangeInto(ctx, bus, v, Cursor{}, DeleteProvenance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v, next, stats
 	}
-	if got, err := c.Pending(context.Background(), "PBioSQL"); err != nil || got != 3 {
-		t.Fatalf("Pending = %d, %v", got, err)
+	if got := pending(Cursor{}); got != 3 {
+		t.Fatalf("pending = %d, want 3", got)
 	}
-	stats, err := c.Exchange(context.Background(), "PBioSQL")
-	if err != nil {
-		t.Fatal(err)
-	}
+	v, cursor, stats := exchange("PBioSQL")
 	if stats.InsL != 4 {
 		t.Fatalf("InsL = %d, want 4", stats.InsL)
 	}
-	if got, err := c.Pending(context.Background(), "PBioSQL"); err != nil || got != 0 {
-		t.Fatalf("pending after exchange: %d, %v", got, err)
+	if got := pending(cursor); got != 0 {
+		t.Fatalf("pending after exchange: %d", got)
 	}
-	v, _ := c.View("PBioSQL")
 	if v.Instance("B").Len() != 4 {
 		t.Fatalf("B after exchange:\n%s", v.DB().Dump(OutputRel("B")))
 	}
 	// A second peer exchanges later and sees the same world.
-	if _, err := c.Exchange(context.Background(), "PuBio"); err != nil {
-		t.Fatal(err)
-	}
-	v2, _ := c.View("PuBio")
+	v2, _, _ := exchange("PuBio")
 	if v2.Instance("U").Len() != v.Instance("U").Len() {
 		t.Fatal("views diverge under identical trust")
 	}
 	// Publishing edits to another peer's relation is rejected.
-	if err := c.Publish(context.Background(), "PGUS", EditLog{Ins("B", MakeTuple(9, 9))}); err == nil {
+	if err := PublishTo(ctx, bus, spec, "PGUS", EditLog{Ins("B", MakeTuple(9, 9))}); err == nil {
 		t.Fatal("cross-peer edit accepted")
 	}
-	if err := c.Publish(context.Background(), "nope", EditLog{}); err == nil {
+	if err := PublishTo(ctx, bus, spec, "nope", EditLog{}); err == nil {
 		t.Fatal("unknown peer accepted")
-	}
-	// ExchangeAll drains everyone.
-	if _, err := c.ExchangeAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []string{"PGUS", "PBioSQL", "PuBio"} {
-		if got, err := c.Pending(context.Background(), p); err != nil || got != 0 {
-			t.Fatalf("peer %s still pending: %d, %v", p, got, err)
-		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"orchestra/internal/engine"
 	"orchestra/internal/provenance"
 	"orchestra/internal/schema"
+	"orchestra/internal/semiring"
 	"orchestra/internal/tgd"
 )
 
@@ -113,37 +114,41 @@ func TestCyclicPartialSupport(t *testing.T) {
 	}
 }
 
-// TestCyclicSemiringEvaluations checks the semiring wrappers on the
-// cyclic view: trust needs the edb anchor; counts saturate; ranked trust
+// TestCyclicSemiringEvaluations evaluates the cyclic view's provenance
+// graph in several semirings: trust needs the edb anchor (Example 7's
+// Boolean semiring); counts saturate; ranked trust (Viterbi, §8)
 // discounts by mapping confidence along the best path.
 func TestCyclicSemiringEvaluations(t *testing.T) {
+	ctx := context.Background()
 	v, err := NewView(cycleSpec(t), "", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.ApplyEdits(context.Background(), EditLog{Ins("A", MakeTuple(1))}, DeleteProvenance); err != nil {
+	if _, err := v.ApplyEdits(ctx, EditLog{Ins("A", MakeTuple(1))}, DeleteProvenance); err != nil {
 		t.Fatal(err)
 	}
+	g := v.Graph()
 	aOut := OutRef("A", MakeTuple(1))
 	bOut := OutRef("B", MakeTuple(1))
 	token := BaseRef("A", MakeTuple(1))
 
-	trusted, err := TrustEval(context.Background(), v, nil, nil)
-	if err != nil {
-		t.Fatal(err)
+	trustEval := func(tokenTrust bool) map[provenance.Ref]bool {
+		got, err := provenance.Eval[bool](ctx, g, semiring.Bool{}, semiring.Identity[bool](),
+			func(r provenance.Ref) bool { return r != token || tokenTrust }, provenance.EvalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
 	}
-	if !trusted[aOut] || !trusted[bOut] {
+	if trusted := trustEval(true); !trusted[aOut] || !trusted[bOut] {
 		t.Fatal("fully trusted loop rejected")
 	}
-	distrusted, err := TrustEval(context.Background(), v, map[provenance.Ref]bool{token: false}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if distrusted[aOut] || distrusted[bOut] {
+	if distrusted := trustEval(false); distrusted[aOut] || distrusted[bOut] {
 		t.Fatal("loop sustained trust without trusted edb (least fixpoint violated)")
 	}
 
-	counts, err := DerivationCounts(context.Background(), v, 100)
+	counts, err := provenance.Eval[int64](ctx, g, semiring.Count{Cap: 100}, semiring.Identity[int64](),
+		func(provenance.Ref) int64 { return 1 }, provenance.EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +157,15 @@ func TestCyclicSemiringEvaluations(t *testing.T) {
 		t.Fatalf("count(B(1)) = %d, want saturation at 100", counts[bOut])
 	}
 
-	ranks, err := RankTrust(context.Background(), v, nil, map[string]float64{"ma": 0.5, "mb": 0.5})
+	conf := map[string]float64{"ma": 0.5, "mb": 0.5}
+	ranks, err := provenance.Eval[float64](ctx, g, semiring.Viterbi{},
+		func(m string, x float64) float64 {
+			if c, ok := conf[m]; ok {
+				return c * x
+			}
+			return x
+		},
+		func(provenance.Ref) float64 { return 1 }, provenance.EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +178,10 @@ func TestCyclicSemiringEvaluations(t *testing.T) {
 		t.Fatalf("rank(A(1)) = %v, want 1.0", ranks[aOut])
 	}
 
-	lin, err := Lineage(context.Background(), v)
+	lin, err := provenance.Eval[semiring.LineageElem](ctx, g, semiring.Lineage{},
+		semiring.Identity[semiring.LineageElem](),
+		func(r provenance.Ref) semiring.LineageElem { return semiring.Token(g.TokenName(r)) },
+		provenance.EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func tableDump(v *View) map[string]string {
 	out := make(map[string]string)
 	sk := v.Skolems()
 	for _, name := range v.DB().Names() {
-		if strings.HasPrefix(name, "c$") || strings.HasPrefix(name, "pi$") || strings.HasPrefix(name, "q$") {
+		if strings.HasPrefix(name, "q$") {
 			continue
 		}
 		var rows []string

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"testing"
 
 	"orchestra/internal/datalog"
 	"orchestra/internal/engine"
@@ -10,15 +12,18 @@ import (
 	"orchestra/internal/value"
 )
 
-// Declarative derivation testing (§4.1.3). The paper turns the mapping
-// rules "inside out": for every mapping rule (m″) R(x̄,f̄(x̄)) :- P_mi(v̄)
-// an inverse rule P′_mi(v̄) :- P_mi(v̄), R_chk(x̄) recovers the provenance
-// rows relevant to the tuples under check, and source-expansion rules
-// mark the body tuples those rows consumed, recursively, down to the
-// local-contribution tables. This file materializes that program so the
-// goal-directed support computation can itself run on the datalog engine
-// (the procedural View.supportOf is the optimized equivalent; the tests
-// cross-check the two).
+// Declarative derivation testing (§4.1.3), kept as a test oracle. The
+// paper turns the mapping rules "inside out": for every mapping rule
+// (m″) R(x̄,f̄(x̄)) :- P_mi(v̄) an inverse rule P′_mi(v̄) :- P_mi(v̄),
+// R_chk(x̄) recovers the provenance rows relevant to the tuples under
+// check, and source-expansion rules mark the body tuples those rows
+// consumed, recursively, down to the local-contribution tables. The
+// procedural View.supportOf is the optimized equivalent the runtime
+// uses; the tests cross-check the two.
+//
+// The oracle builds its c$/pi$ tables in a private copy of the view (a
+// WriteSnapshot → RestoreView round trip), so the live view's database
+// never holds them.
 
 // chkRel names the R_chk relation of an internal relation.
 func chkRel(rel string) string { return "c$" + rel }
@@ -26,20 +31,28 @@ func chkRel(rel string) string { return "c$" + rel }
 // invProvRel names the P′ relation of a mapping.
 func invProvRel(mapID string) string { return "pi$" + mapID }
 
-// inverseState is the lazily-built declarative derivation-test machinery.
-type inverseState struct {
+// inverseOracle is the inverse program built over a private copy of a
+// view.
+type inverseOracle struct {
+	v      *View // the private copy
 	prog   *datalog.Program
 	ev     *engine.Evaluator
 	tables []string // every c$/pi$ table, for clearing
 }
 
-// buildInverse constructs the inverse program and its tables in the
-// view's database.
-func (v *View) buildInverse() error {
-	if v.inv != nil {
-		return nil
+// newInverseOracle copies live and constructs the inverse program and
+// its tables in the copy.
+func newInverseOracle(t *testing.T, live *View) *inverseOracle {
+	t.Helper()
+	var snap bytes.Buffer
+	if err := live.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
 	}
-	inv := &inverseState{prog: datalog.NewProgram()}
+	v, err := RestoreView(live.spec, live.owner, live.opts, &snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := &inverseOracle{v: v, prog: datalog.NewProgram()}
 
 	// R_chk tables, one per internal relation that can be derived.
 	for _, rel := range v.spec.Universe.Relations() {
@@ -48,9 +61,9 @@ func (v *View) buildInverse() error {
 		} {
 			cname := chkRel(name)
 			if _, err := v.db.Create(cname, v.db.Table(name).Arity()); err != nil {
-				return err
+				t.Fatal(err)
 			}
-			inv.tables = append(inv.tables, cname)
+			o.tables = append(o.tables, cname)
 		}
 	}
 
@@ -58,9 +71,9 @@ func (v *View) buildInverse() error {
 		pName := invProvRel(mi.ID)
 		arity := len(mi.Vars)
 		if _, err := v.db.Create(pName, arity); err != nil {
-			return err
+			t.Fatal(err)
 		}
-		inv.tables = append(inv.tables, pName)
+		o.tables = append(o.tables, pName)
 
 		provArgs := make([]datalog.Term, arity)
 		varName := func(i int) string { return fmt.Sprintf("v%d", i) }
@@ -90,7 +103,7 @@ func (v *View) buildInverse() error {
 					chkArgs[ai] = datalog.Sk(spec.Fn, skArgs...)
 				}
 			}
-			inv.prog.Add(datalog.NewRule(
+			o.prog.Add(datalog.NewRule(
 				fmt.Sprintf("inv:%s:t%d", mi.ID, ti),
 				datalog.NewAtom(pName, provArgs...),
 				datalog.Pos(datalog.NewAtom(chkRel(tmpl.Rel), chkArgs...)),
@@ -111,7 +124,7 @@ func (v *View) buildInverse() error {
 					srcArgs[ai] = datalog.C(spec.Const)
 				}
 			}
-			inv.prog.Add(datalog.NewRule(
+			o.prog.Add(datalog.NewRule(
 				fmt.Sprintf("inv:%s:s%d", mi.ID, si),
 				datalog.NewAtom(chkRel(tmpl.Rel), srcArgs...),
 				datalog.Pos(datalog.NewAtom(pName, provArgs...)),
@@ -119,71 +132,63 @@ func (v *View) buildInverse() error {
 		}
 	}
 
-	ev, err := engine.New(inv.prog, v.db, v.sk, engine.Options{
+	o.ev, err = engine.New(o.prog, v.db, v.sk, engine.Options{
 		Backend:       v.opts.Backend,
 		MaxIterations: v.opts.MaxIterations,
 	})
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
-	inv.ev = ev
-	v.inv = inv
-	return nil
+	return o
 }
 
-// InverseProgram returns the §4.1.3 inverse-rule program (building it on
-// first use), for inspection and the CLI.
-func (v *View) InverseProgram() (*datalog.Program, error) {
-	if err := v.buildInverse(); err != nil {
-		return nil, err
-	}
-	return v.inv.prog, nil
-}
-
-// SupportDeclarative computes the supporting base tuples of the targets
-// by running the inverse-rule program to fixpoint — the paper's
-// formulation of the backward pass. It must agree with the procedural
-// supportOf (cross-checked in tests).
-func (v *View) SupportDeclarative(ctx context.Context, targets []provenance.Ref) (map[provenance.Ref]bool, error) {
-	if err := v.buildInverse(); err != nil {
-		return nil, err
-	}
-	defer v.clearInverse()
+// support computes the supporting base tuples of the targets by running
+// the inverse-rule program to fixpoint — the paper's formulation of the
+// backward pass. It must agree with the procedural supportOf.
+func (o *inverseOracle) support(t *testing.T, targets []provenance.Ref) map[provenance.Ref]bool {
+	t.Helper()
+	defer o.clear()
 
 	// Seed the chk tables with the suspects.
 	for _, ref := range targets {
-		tbl := v.db.Table(chkRel(ref.Rel))
+		tbl := o.v.db.Table(chkRel(ref.Rel))
 		if tbl == nil {
-			return nil, fmt.Errorf("core: no chk relation for %q", ref.Rel)
+			t.Fatalf("no chk relation for %q", ref.Rel)
 		}
 		tbl.Insert(ref.Tuple())
 	}
-	v.inv.ev.InvalidateAllTransient()
-	if _, err := v.inv.ev.Run(ctx); err != nil {
-		return nil, err
+	o.ev.InvalidateAllTransient()
+	if _, err := o.ev.Run(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 
 	// Support = chk rows over local-contribution tables that are actually
 	// present ("filter the R′ relations … to only include values from
 	// local contributions tables").
 	support := make(map[provenance.Ref]bool)
-	for _, rel := range v.spec.Universe.Relations() {
+	for _, rel := range o.v.spec.Universe.Relations() {
 		lname := LocalRel(rel.Name)
-		ltbl := v.db.Table(lname)
-		v.db.Table(chkRel(lname)).Each(func(row value.Tuple) bool {
+		ltbl := o.v.db.Table(lname)
+		o.v.db.Table(chkRel(lname)).Each(func(row value.Tuple) bool {
 			if ltbl.Contains(row) {
 				support[provenance.NewRef(lname, row)] = true
 			}
 			return true
 		})
 	}
-	return support, nil
+	return support
 }
 
-// clearInverse empties the inverse workspace tables.
-func (v *View) clearInverse() {
-	for _, name := range v.inv.tables {
-		v.db.Table(name).Clear()
+// clear empties the oracle's workspace tables.
+func (o *inverseOracle) clear() {
+	for _, name := range o.tables {
+		o.v.db.Table(name).Clear()
 	}
-	v.ev.InvalidateAllTransient()
+	o.v.ev.InvalidateAllTransient()
+}
+
+// supportDeclarative runs the oracle once over a fresh copy of v.
+func supportDeclarative(t *testing.T, v *View, targets []provenance.Ref) map[provenance.Ref]bool {
+	t.Helper()
+	return newInverseOracle(t, v).support(t, targets)
 }

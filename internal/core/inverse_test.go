@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,10 +22,7 @@ func TestSupportDeclarativeMatchesProcedural(t *testing.T) {
 		{OutRef("G", MakeTuple(1, 2, 3))},
 	}
 	for _, ts := range targets {
-		declarative, err := v.SupportDeclarative(context.Background(), ts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		declarative := supportDeclarative(t, v, ts)
 		procedural := v.supportOf(ts)
 		if len(declarative) != len(procedural) {
 			t.Fatalf("targets %v: declarative %v vs procedural %v", ts, declarative, procedural)
@@ -44,10 +43,7 @@ func TestSupportDeclarativeOnCycle(t *testing.T) {
 	if _, err := v.ApplyEdits(context.Background(), EditLog{Ins("A", MakeTuple(1))}, DeleteProvenance); err != nil {
 		t.Fatal(err)
 	}
-	sup, err := v.SupportDeclarative(context.Background(), []provenance.Ref{OutRef("B", MakeTuple(1))})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sup := supportDeclarative(t, v, []provenance.Ref{OutRef("B", MakeTuple(1))})
 	if len(sup) != 1 || !sup[BaseRef("A", MakeTuple(1))] {
 		t.Fatalf("cycle support = %v", sup)
 	}
@@ -55,10 +51,7 @@ func TestSupportDeclarativeOnCycle(t *testing.T) {
 	// reports no support (the chk trace survives, the intersection with
 	// Rℓ is empty).
 	v.LocalTable("A").Delete(MakeTuple(1))
-	sup, err = v.SupportDeclarative(context.Background(), []provenance.Ref{OutRef("B", MakeTuple(1))})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sup = supportDeclarative(t, v, []provenance.Ref{OutRef("B", MakeTuple(1))})
 	if len(sup) != 0 {
 		t.Fatalf("support after base deletion = %v", sup)
 	}
@@ -66,11 +59,8 @@ func TestSupportDeclarativeOnCycle(t *testing.T) {
 
 func TestInverseProgramShape(t *testing.T) {
 	v := loadExample3(t, paperSpec(t, nil), Options{})
-	prog, err := v.InverseProgram()
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := prog.String()
+	o := newInverseOracle(t, v)
+	text := o.prog.String()
 	// One P′ rule per target atom and one chk rule per source atom of
 	// every mapping (user + internal bookkeeping).
 	for _, frag := range []string{"pi$m1(", "pi$m4(", "c$G$o(", "c$B$l(", "pi$in$B(", "pi$lc$U("} {
@@ -78,39 +68,35 @@ func TestInverseProgramShape(t *testing.T) {
 			t.Fatalf("inverse program missing %q:\n%s", frag, text)
 		}
 	}
-	if err := prog.Validate(); err != nil {
+	if err := o.prog.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// The workspace is cleared between calls: repeated use is stable.
-	sup1, err := v.SupportDeclarative(context.Background(), []provenance.Ref{OutRef("B", MakeTuple(3, 2))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sup2, err := v.SupportDeclarative(context.Background(), []provenance.Ref{OutRef("B", MakeTuple(3, 2))})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sup1 := o.support(t, []provenance.Ref{OutRef("B", MakeTuple(3, 2))})
+	sup2 := o.support(t, []provenance.Ref{OutRef("B", MakeTuple(3, 2))})
 	if len(sup1) != len(sup2) {
 		t.Fatalf("repeated runs differ: %v vs %v", sup1, sup2)
 	}
 }
 
+// TestSnapshotExcludesInverseWorkspace pins the oracle's isolation:
+// running it leaves the live view's table names and snapshot bytes
+// unchanged, because its workspace lives in a private copy.
 func TestSnapshotExcludesInverseWorkspace(t *testing.T) {
 	v := loadExample3(t, paperSpec(t, nil), Options{})
-	// Build the inverse tables, then snapshot: restore must succeed into
-	// a fresh view (workspaces are excluded).
-	if _, err := v.SupportDeclarative(context.Background(), []provenance.Ref{OutRef("B", MakeTuple(3, 2))}); err != nil {
-		t.Fatal(err)
+	snapshot := func() []byte {
+		var buf bytes.Buffer
+		if err := v.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	var buf strings.Builder
-	if err := v.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
+	names, before := v.db.Names(), snapshot()
+	supportDeclarative(t, v, []provenance.Ref{OutRef("B", MakeTuple(3, 2))})
+	if got := v.db.Names(); !slices.Equal(got, names) {
+		t.Fatalf("oracle changed the live view's tables: %v, was %v", got, names)
 	}
-	restored, err := RestoreView(paperSpec(t, nil), "", Options{}, strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Instance("B").Len() != v.Instance("B").Len() {
-		t.Fatal("restored instance differs")
+	if !bytes.Equal(snapshot(), before) {
+		t.Fatal("oracle changed the live view's snapshot")
 	}
 }

@@ -447,8 +447,8 @@ func (d *deletionState) run(ctx context.Context) error {
 // deleteProvenance implements the PropagateDelete algorithm: delete
 // provenance rows invalidated by base deletions; tuples that lose all
 // provenance rows are deleted and cascade; tuples that keep some rows are
-// tested for derivability from the EDB via the goal-directed inverse
-// program (§4.1.3), and garbage-collected if the test fails (this is what
+// tested for derivability from the EDB via the goal-directed derivation
+// test (§4.1.3), and garbage-collected if the test fails (this is what
 // collects derivation cycles no longer anchored in local contributions).
 func (v *View) deleteProvenance(ctx context.Context, dl, dr storage.DeltaSet, stats *ApplyStats) error {
 	ds := v.newDeletionState(stats)

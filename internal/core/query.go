@@ -143,18 +143,10 @@ func (v *View) parseQuery(q string) (*datalog.Rule, error) {
 	return rule, nil
 }
 
-// QueryRule evaluates an already-built conjunctive query rule whose body
-// atoms reference internal relations of the view. Results are served
-// from the view's query cache when the rule was evaluated before and
-// none of its body relations have changed since.
-func (v *View) QueryRule(ctx context.Context, rule *datalog.Rule, includeNulls bool) ([]value.Tuple, error) {
-	return v.runQuery(ctx, rule, includeNulls, "", time.Now(), 0)
-}
-
-// runQuery is the instrumented query body behind Query and
-// QueryRule: repair-if-dirty, cache probe, compile, evaluate,
-// collect, store. qtext is the raw query string for telemetry ("" falls
-// back to the canonical key); start/parseNS anchor the phase clocks.
+// runQuery is the instrumented query body behind Query:
+// repair-if-dirty, cache probe, compile, evaluate, collect, store. qtext
+// is the raw query string for telemetry; start/parseNS anchor the phase
+// clocks.
 // When no observer is attached (v.qobs nil) the extra work is one
 // time.Now per phase boundary at most.
 func (v *View) runQuery(ctx context.Context, rule *datalog.Rule, includeNulls bool, qtext string, start time.Time, parseNS int64) ([]value.Tuple, error) {
@@ -165,9 +157,6 @@ func (v *View) runQuery(ctx context.Context, rule *datalog.Rule, includeNulls bo
 	key := canonicalQueryKey(rule, includeNulls)
 	obsOn := v.qobs != nil
 	st := obs.QueryStats{Query: qtext, Start: start, ParseNS: parseNS}
-	if st.Query == "" {
-		st.Query = key
-	}
 	mark := time.Now()
 	if rows, ok := v.qcache.lookup(v.db, key); ok {
 		if obsOn {

@@ -62,12 +62,11 @@ func (v *View) WriteSnapshot(w io.Writer) error {
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	// Transient workspaces (inverse-program and query tables) are always
-	// empty between operations and are rebuilt lazily; skip them so
-	// snapshots restore against a fresh view of the same spec.
+	// Query workspaces (q$ tables) are always empty between operations
+	// and are rebuilt lazily; skip them so snapshots restore against a
+	// fresh view of the same spec.
 	return v.db.WriteSnapshotFiltered(w, func(name string) bool {
-		return !strings.HasPrefix(name, "c$") && !strings.HasPrefix(name, "pi$") &&
-			!strings.HasPrefix(name, "q$")
+		return !strings.HasPrefix(name, "q$")
 	})
 }
 

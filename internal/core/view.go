@@ -25,12 +25,6 @@ type Options struct {
 	// semi-naive round concurrently (0 = GOMAXPROCS, 1 = sequential).
 	// Results are identical at every setting; see engine.Options.
 	Parallelism int
-	// ExchangeParallelism bounds CDSS.ExchangeAll's concurrent per-view
-	// exchange passes (0 = GOMAXPROCS, 1 = serial). Distinct from
-	// Parallelism, which bounds the engine workers inside one view's
-	// fixpoint; views ignore this field. The public facade's equivalent
-	// is WithExchangeParallelism.
-	ExchangeParallelism int
 	// SplitProvTables reverts §5's composite-mapping-table optimization:
 	// one provenance table per RHS atom instead of one per tgd. Semantics
 	// are identical; the ablation benchmarks measure the cost.
@@ -70,9 +64,6 @@ type View struct {
 	// derivability-test scratch engine, built lazily (§4.1.3).
 	chkDB *storage.Database
 	chkEv *engine.Evaluator
-
-	// inv is the lazily-built declarative inverse-rule program (§4.1.3).
-	inv *inverseState
 
 	// dirty marks derived state as possibly inconsistent with the base
 	// tables: a maintenance operation started but did not finish (e.g.
@@ -151,8 +142,8 @@ func (v *View) ensureTable(name string, arity int) error {
 // metadata indexes, and the provenance graph. Existing table contents
 // are untouched, so spec evolution can recompile a live view and then
 // repair its materialized state incrementally (see evolve.go). The
-// lazily-built derivability and inverse machinery is discarded — it is
-// rebuilt against the new program on first use.
+// lazily-built derivability engine and query workspaces are discarded —
+// they are rebuilt against the new program on first use.
 func (v *View) compile() error {
 	spec, opts := v.spec, v.opts
 	v.prog = datalog.NewProgram()
@@ -160,7 +151,7 @@ func (v *View) compile() error {
 	v.bySourceRel = make(map[string][]mappingSource)
 	v.byTargetRel = make(map[string][]mappingTarget)
 	v.dropScratchTables()
-	v.chkDB, v.chkEv, v.inv = nil, nil, nil
+	v.chkDB, v.chkEv = nil, nil
 
 	// Internal schema: four tables per user relation (Fig. 2).
 	baseRels := make(map[string]bool)
@@ -261,12 +252,12 @@ func (v *View) compile() error {
 	return nil
 }
 
-// dropScratchTables removes the lazily-built derivability (c$/pi$) and
-// query (q$) workspaces; they are always empty between operations and
-// are rebuilt against the current program on demand.
+// dropScratchTables removes the lazily-built query (q$) workspaces; they
+// are always empty between operations and are rebuilt against the
+// current program on demand.
 func (v *View) dropScratchTables() {
 	for _, name := range v.db.Names() {
-		if strings.HasPrefix(name, "c$") || strings.HasPrefix(name, "pi$") || strings.HasPrefix(name, "q$") {
+		if strings.HasPrefix(name, "q$") {
 			v.db.Drop(name)
 		}
 	}

@@ -182,21 +182,6 @@ func (r *Rule) FilterSelectivity() float64 {
 	return sel
 }
 
-// PositiveBodyVars returns the set of variables bound by positive body
-// atoms.
-func (r *Rule) PositiveBodyVars() map[string]bool {
-	vars := make(map[string]bool)
-	for _, l := range r.Body {
-		if l.Neg {
-			continue
-		}
-		for _, v := range l.Atom.Vars() {
-			vars[v] = true
-		}
-	}
-	return vars
-}
-
 // Validate checks rule safety:
 //   - every head variable (incl. Skolem arguments) appears in a positive
 //     body atom;

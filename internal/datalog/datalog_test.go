@@ -174,30 +174,6 @@ func TestStratifyRejectsNegativeCycle(t *testing.T) {
 	}
 }
 
-func TestDependencyGraph(t *testing.T) {
-	p := NewProgram(
-		NewRule("r1", NewAtom("A", V("x")), Pos(NewAtom("E", V("x"))), Neg(NewAtom("C", V("x")))),
-		NewRule("r2", NewAtom("A", V("x")), Pos(NewAtom("B", V("x")))),
-	)
-	g := p.DependencyGraph()
-	deps := g["A"]
-	if len(deps) != 3 || deps[0] != "B" || deps[1] != "C" || deps[2] != "E" {
-		t.Fatalf("deps of A = %v", deps)
-	}
-}
-
-func TestRulesFor(t *testing.T) {
-	r1 := NewRule("r1", NewAtom("A", V("x")), Pos(NewAtom("E", V("x"))))
-	r2 := NewRule("r2", NewAtom("B", V("x")), Pos(NewAtom("E", V("x"))))
-	p := NewProgram(r1, r2)
-	if got := p.RulesFor("A"); len(got) != 1 || got[0] != r1 {
-		t.Fatalf("RulesFor(A) = %v", got)
-	}
-	if got := p.RulesFor("Z"); got != nil {
-		t.Fatalf("RulesFor(Z) = %v", got)
-	}
-}
-
 func contains(s []string, v string) bool {
 	for _, x := range s {
 		if x == v {

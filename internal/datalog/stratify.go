@@ -87,41 +87,3 @@ func (p *Program) Stratify() ([]*Stratum, error) {
 	}
 	return out, nil
 }
-
-// DependencyGraph returns, for each predicate, the set of predicates its
-// defining rules read (positively or negatively). Useful for diagnostics
-// and for the goal-directed derivation program (§4.1.3).
-func (p *Program) DependencyGraph() map[string][]string {
-	g := make(map[string]map[string]bool)
-	for _, r := range p.Rules {
-		set := g[r.Head.Pred]
-		if set == nil {
-			set = make(map[string]bool)
-			g[r.Head.Pred] = set
-		}
-		for _, l := range r.Body {
-			set[l.Atom.Pred] = true
-		}
-	}
-	out := make(map[string][]string, len(g))
-	for pred, set := range g {
-		deps := make([]string, 0, len(set))
-		for d := range set {
-			deps = append(deps, d)
-		}
-		sort.Strings(deps)
-		out[pred] = deps
-	}
-	return out
-}
-
-// RulesFor returns the rules whose head predicate is pred.
-func (p *Program) RulesFor(pred string) []*Rule {
-	var out []*Rule
-	for _, r := range p.Rules {
-		if r.Head.Pred == pred {
-			out = append(out, r)
-		}
-	}
-	return out
-}

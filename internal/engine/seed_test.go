@@ -8,7 +8,7 @@ import (
 	"orchestra/internal/value"
 )
 
-// TestRunRulesContext checks the seeded evaluation behind spec
+// TestRunRules checks the seeded evaluation behind spec
 // evolution: after a program gains rules, seeding with only the new
 // rules reaches the same fixpoint a full run reaches, without naively
 // re-firing the old rules.

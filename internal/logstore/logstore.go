@@ -30,7 +30,6 @@
 package logstore
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -315,21 +314,6 @@ func (s *Store) Replay() ([]Publication, error) {
 		return nil, err
 	}
 	return pubs, nil
-}
-
-// RestoreInto republishes every stored publication into a CDSS (in
-// order). Used at node startup to rebuild the global sequence.
-func (s *Store) RestoreInto(ctx context.Context, c *core.CDSS) error {
-	pubs, err := s.Replay()
-	if err != nil {
-		return err
-	}
-	for i, p := range pubs {
-		if err := c.Publish(ctx, p.Peer, p.Log); err != nil {
-			return fmt.Errorf("logstore: restoring publication %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 func encodeFrame(peer string, log core.EditLog, traceID string, seq uint64) ([]byte, error) {

@@ -7,8 +7,6 @@ import (
 	"testing"
 
 	"orchestra/internal/core"
-	"orchestra/internal/schema"
-	"orchestra/internal/tgd"
 )
 
 func tmpStore(t *testing.T) (*Store, string) {
@@ -265,73 +263,6 @@ func TestBusDurability(t *testing.T) {
 	deltas, next, err = b2.Fetch(ctx, core.Cursor{})
 	if err != nil || next.Total() != 2 || len(deltas) != 2 {
 		t.Fatalf("reloaded Fetch: %d deltas, next %v, err %v", len(deltas), next, err)
-	}
-}
-
-// End-to-end: a CDSS node restarts and rebuilds its pending publications
-// from the store.
-func TestRestoreInto(t *testing.T) {
-	u := schema.NewUniverse()
-	p := schema.NewPeer("P")
-	p.AddRelation("A", schema.Column{Name: "x", Type: schema.TypeInt})
-	q := schema.NewPeer("Q")
-	q.AddRelation("B", schema.Column{Name: "x", Type: schema.TypeInt})
-	u.AddPeer(p)
-	u.AddPeer(q)
-	spec, err := core.NewSpec(u, []*tgd.TGD{tgd.MustParse("m: A(x) -> B(x)")}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s, _ := tmpStore(t)
-	// "Node 1" publishes through the store.
-	c1 := core.NewCDSS(spec, core.Options{}, core.DeleteProvenance)
-	logs := []struct {
-		peer string
-		log  core.EditLog
-	}{
-		{"P", core.EditLog{core.Ins("A", core.MakeTuple(1))}},
-		{"P", core.EditLog{core.Ins("A", core.MakeTuple(2))}},
-		{"Q", core.EditLog{core.Ins("B", core.MakeTuple(9))}},
-	}
-	for _, l := range logs {
-		if err := c1.Publish(context.Background(), l.peer, l.log); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Append(l.peer, l.log); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := c1.Exchange(context.Background(), ""); err != nil {
-		t.Fatal(err)
-	}
-
-	// "Node 2" starts fresh and restores from the store.
-	c2 := core.NewCDSS(spec, core.Options{}, core.DeleteProvenance)
-	if err := s.RestoreInto(context.Background(), c2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c2.Exchange(context.Background(), ""); err != nil {
-		t.Fatal(err)
-	}
-	v1, _ := c1.View("")
-	v2, _ := c2.View("")
-	if v1.Instance("B").Len() != v2.Instance("B").Len() || v2.Instance("B").Len() != 3 {
-		t.Fatalf("restored node diverges: %d vs %d",
-			v1.Instance("B").Len(), v2.Instance("B").Len())
-	}
-	// Restoring into a CDSS with an incompatible spec fails loudly.
-	uBad := schema.NewUniverse()
-	pb := schema.NewPeer("P")
-	pb.AddRelation("Z", schema.Column{Name: "x"})
-	uBad.AddPeer(pb)
-	specBad, err := core.NewSpec(uBad, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cBad := core.NewCDSS(specBad, core.Options{}, core.DeleteProvenance)
-	if err := s.RestoreInto(context.Background(), cBad); err == nil {
-		t.Fatal("incompatible restore accepted")
 	}
 }
 

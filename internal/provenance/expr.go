@@ -195,32 +195,3 @@ func Tokens(e Expr) []string {
 	sort.Strings(out)
 	return out
 }
-
-// MappingsUsed returns the distinct non-transparent mapping ids appearing
-// in e, sorted.
-func MappingsUsed(e Expr) []string {
-	seen := make(map[string]bool)
-	var walk func(Expr)
-	walk = func(x Expr) {
-		switch n := x.(type) {
-		case Sum:
-			for _, a := range n.Args {
-				walk(a)
-			}
-		case Prod:
-			for _, a := range n.Args {
-				walk(a)
-			}
-		case Apply:
-			seen[n.Mapping] = true
-			walk(n.Arg)
-		}
-	}
-	walk(e)
-	out := make([]string, 0, len(seen))
-	for m := range seen {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}

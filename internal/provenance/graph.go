@@ -17,15 +17,12 @@ type Ref struct {
 }
 
 // NewRef builds a Ref, encoding the tuple's canonical key. Callers that
-// already hold the key (storage rows, delta entries) should use RowRef or
-// KeyedRef, which skip the encode.
+// already hold the key (storage rows, delta entries) should use RowRef,
+// which skips the encode.
 func NewRef(rel string, t value.Tuple) Ref { return Ref{Rel: rel, Key: t.Key()} }
 
 // RowRef builds a Ref from a pre-keyed row without re-encoding.
 func RowRef(rel string, r value.Row) Ref { return Ref{Rel: rel, Key: r.Key} }
-
-// KeyedRef builds a Ref from a relation name and canonical key.
-func KeyedRef(rel, key string) Ref { return Ref{Rel: rel, Key: key} }
 
 // Tuple decodes the Ref's tuple.
 func (r Ref) Tuple() value.Tuple {

@@ -46,18 +46,12 @@ func TestTokensAndMappingsOnDegenerateExprs(t *testing.T) {
 	if got := Tokens(Zero{}); len(got) != 0 {
 		t.Fatalf("Tokens(Zero) = %v", got)
 	}
-	if got := MappingsUsed(CycleVar{}); len(got) != 0 {
-		t.Fatalf("MappingsUsed(CycleVar) = %v", got)
-	}
 	e := Sum{Args: []Expr{
 		Apply{Mapping: "m2", Arg: Token{Name: "p1"}},
 		Prod{Args: []Expr{Token{Name: "p2"}, Apply{Mapping: "m1", Arg: Token{Name: "p1"}}}},
 	}}
 	if got := Tokens(e); len(got) != 2 || got[0] != "p1" || got[1] != "p2" {
 		t.Fatalf("Tokens = %v", got)
-	}
-	if got := MappingsUsed(e); len(got) != 2 || got[0] != "m1" || got[1] != "m2" {
-		t.Fatalf("MappingsUsed = %v", got)
 	}
 }
 

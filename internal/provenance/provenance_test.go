@@ -114,9 +114,6 @@ func TestExample6Expression(t *testing.T) {
 	if toks := Tokens(expr); len(toks) != 3 {
 		t.Fatalf("Tokens = %v", toks)
 	}
-	if ms := MappingsUsed(expr); len(ms) != 2 || ms[0] != "m1" || ms[1] != "m4" {
-		t.Fatalf("MappingsUsed = %v", ms)
-	}
 }
 
 func TestExample6NestedExpression(t *testing.T) {

@@ -77,8 +77,9 @@ func TestPublishAndFetch(t *testing.T) {
 	}
 }
 
-// Two CDSS nodes stay consistent by exchanging through the service — the
-// paper's operating mode with a central publication store.
+// Two nodes stay consistent by exchanging through the service — the
+// paper's operating mode with a central publication store. Each node
+// holds its own view and reaches the service over its own bus client.
 func TestTwoNodeSync(t *testing.T) {
 	spec := testSpec(t)
 	srv := NewServer()
@@ -87,34 +88,38 @@ func TestTwoNodeSync(t *testing.T) {
 	defer ts.Close()
 	ctx := context.Background()
 
-	node1 := core.NewCDSSOn(NewBus(ts.URL), spec, core.Options{}, core.DeleteProvenance)
-	node2 := core.NewCDSSOn(NewBus(ts.URL), spec, core.Options{}, core.DeleteProvenance)
+	bus1, bus2 := NewBus(ts.URL), NewBus(ts.URL)
 
 	// Node 1's peer P inserts and publishes.
 	logP := core.EditLog{core.Ins("A", core.MakeTuple(1)), core.Ins("A", core.MakeTuple(2))}
-	if err := node1.Publish(ctx, "P", logP); err != nil {
+	if err := core.PublishTo(ctx, bus1, spec, "P", logP); err != nil {
 		t.Fatal(err)
 	}
 	// Node 2's peer Q publishes a curation deletion of imported data.
 	logQ := core.EditLog{core.Del("B", core.MakeTuple(1))}
-	if err := node2.Publish(ctx, "Q", logQ); err != nil {
+	if err := core.PublishTo(ctx, bus2, spec, "Q", logQ); err != nil {
 		t.Fatal(err)
 	}
 
 	// Both nodes exchange.
-	v1, _ := node1.View("")
-	v2, _ := node2.View("")
-	if _, err := node1.Exchange(ctx, ""); err != nil {
-		t.Fatal(err)
+	views := make(map[string]*core.View)
+	cursors := make(map[string]core.Cursor)
+	for name, bus := range map[string]*Bus{"node1": bus1, "node2": bus2} {
+		v, err := core.NewView(spec, "", core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, _, err := core.ExchangeInto(ctx, bus, v, core.Cursor{}, core.DeleteProvenance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views[name], cursors[name] = v, next
 	}
-	if _, err := node2.Exchange(ctx, ""); err != nil {
-		t.Fatal(err)
-	}
-	if c1, c2 := node1.Cursor(""), node2.Cursor(""); c1.Total() != 2 || !c1.Equal(c2) {
+	if c1, c2 := cursors["node1"], cursors["node2"]; c1.Total() != 2 || !c1.Equal(c2) {
 		t.Fatalf("cursors: %v %v", c1, c2)
 	}
 	// B = {2}: A(1),A(2) mapped in, B(1) rejected by Q's curation.
-	for name, v := range map[string]*core.View{"node1": v1, "node2": v2} {
+	for name, v := range views {
 		b := v.Instance("B")
 		if b.Len() != 1 || !b.Contains(core.MakeTuple(2)) {
 			t.Fatalf("%s B instance:\n%s", name, v.DB().Dump())

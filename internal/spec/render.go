@@ -92,12 +92,3 @@ func renderEdit(peer string, e core.Edit) string {
 	}
 	return fmt.Sprintf("edit %s %s %s(%s)\n", peer, sign, e.Rel, strings.Join(parts, ","))
 }
-
-// RenderEdits renders a bare edit log in spec syntax for one peer.
-func RenderEdits(peer string, log core.EditLog) string {
-	var b strings.Builder
-	for _, e := range log {
-		b.WriteString(renderEdit(peer, e))
-	}
-	return b.String()
-}

@@ -65,12 +65,15 @@ edit P + A("plain")
 }
 
 func TestRenderEdits(t *testing.T) {
-	log := core.EditLog{
-		core.Ins("A", core.MakeTuple(1, "x y")),
-		core.Del("A", core.MakeTuple(2, "z")),
-	}
-	out := RenderEdits("P", log)
-	if !strings.Contains(out, `edit P + A(1,"x y")`) || !strings.Contains(out, `edit P - A(2,"z")`) {
-		t.Fatalf("RenderEdits:\n%s", out)
+	for _, tc := range []struct {
+		edit core.Edit
+		want string
+	}{
+		{core.Ins("A", core.MakeTuple(1, "x y")), `edit P + A(1,"x y")` + "\n"},
+		{core.Del("A", core.MakeTuple(2, "z")), `edit P - A(2,"z")` + "\n"},
+	} {
+		if got := renderEdit("P", tc.edit); got != tc.want {
+			t.Fatalf("renderEdit = %q, want %q", got, tc.want)
+		}
 	}
 }

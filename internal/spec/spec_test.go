@@ -70,17 +70,18 @@ func TestParsedSpecRunsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := core.NewCDSS(f.Spec, core.Options{}, core.DeleteProvenance)
+	ctx := context.Background()
+	bus := core.NewMemoryBus()
 	for peer, log := range f.EditLogs() {
-		if err := c.Publish(context.Background(), peer, log); err != nil {
+		if err := core.PublishTo(ctx, bus, f.Spec, peer, log); err != nil {
 			t.Fatal(err)
 		}
 	}
-	v, err := c.View("")
+	v, err := core.NewView(f.Spec, "", core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Exchange(context.Background(), ""); err != nil {
+	if _, _, err := core.ExchangeInto(ctx, bus, v, core.Cursor{}, core.DeleteProvenance); err != nil {
 		t.Fatal(err)
 	}
 	// Global view ignores PBioSQL's conditions? No: target-peer conditions

@@ -297,16 +297,6 @@ func (t *Table) HasIndex(col int) bool {
 	return ok
 }
 
-// IndexedCols returns the sorted list of indexed column positions.
-func (t *Table) IndexedCols() []int {
-	out := make([]int, 0, len(t.indexes))
-	for c := range t.indexes {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Probe calls fn for every row whose column col equals v, using the index
 // if one exists and scanning otherwise. Iteration stops if fn returns
 // false.

@@ -30,13 +30,6 @@ var attrNames = [NumAttrs]string{
 	"protein_existence", "evidence_codes", "crc64", "sequence",
 }
 
-// AttrNames returns the 25 attribute names of the universal relation.
-func AttrNames() []string {
-	out := make([]string, NumAttrs)
-	copy(out, attrNames[:])
-	return out
-}
-
 // AttrName returns the i-th attribute name.
 func AttrName(i int) string { return attrNames[i] }
 

@@ -2,7 +2,6 @@ package value
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -128,20 +127,4 @@ func (st *SkolemTable) Len() int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return len(st.terms)
-}
-
-// Functions returns the sorted set of Skolem function names seen so far.
-func (st *SkolemTable) Functions() []string {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	seen := make(map[string]bool)
-	for _, t := range st.terms {
-		seen[t.fn] = true
-	}
-	out := make([]string, 0, len(seen))
-	for fn := range seen {
-		out = append(out, fn)
-	}
-	sort.Strings(out)
-	return out
 }

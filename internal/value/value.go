@@ -129,9 +129,6 @@ func Compare(a, b Value) int {
 	}
 }
 
-// Less reports whether a sorts before b under Compare.
-func Less(a, b Value) bool { return Compare(a, b) < 0 }
-
 // Tuple is an ordered list of values — one row of a relation.
 type Tuple []Value
 

@@ -2,7 +2,6 @@ package value
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -252,17 +251,6 @@ func TestSkolemResolveDescribe(t *testing.T) {
 	}
 	if got := st.Describe(Int(7)); got != "7" {
 		t.Fatalf("Describe(int) = %q", got)
-	}
-}
-
-func TestSkolemFunctions(t *testing.T) {
-	st := NewSkolemTable()
-	st.Apply("b", Tuple{})
-	st.Apply("a", Tuple{Int(1)})
-	st.Apply("b", Tuple{Int(2)})
-	want := []string{"a", "b"}
-	if got := st.Functions(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Functions = %v", got)
 	}
 }
 
