@@ -44,8 +44,8 @@
 // ViewState report.
 //
 // WithPersistence(dir) makes a System crash-safe: views are
-// checkpointed — checksummed snapshot plus bus cursor, written
-// atomically — into a state directory, the default bus is replaced by
+// checkpointed — a checksummed base snapshot, then a journal of net
+// changes, each committed with its bus cursor — into a state directory, the default bus is replaced by
 // a durable sharded log co-located there, and New recovers every
 // persisted view, so the next Exchange replays only the publications
 // past its checkpoint (see examples/durability).

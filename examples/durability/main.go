@@ -8,7 +8,8 @@
 // directory and checks the recovery contract:
 //
 //   - the torn tail of the publication log is repaired on open;
-//   - the view is restored from its snapshot at the persisted cursor;
+//   - the view is restored from its checkpoint (base snapshot plus
+//     journal) at the persisted cursor;
 //   - the recovery exchange fetches and applies ONLY the publications
 //     past that cursor (asserted via bus fetch counts and ApplyStats);
 //   - the recovered instances and provenance are identical to a fresh
@@ -181,7 +182,7 @@ func worker(dir string) {
 		}
 	}
 	// The default policy checkpoints after the exchange, while still
-	// holding the view's lock: snapshot and cursor commit together.
+	// holding the view's lock: state and cursor commit together.
 	if _, err := sys.Exchange(ctx, ""); err != nil {
 		log.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 
 	"orchestra/internal/storage"
 	"orchestra/internal/value"
@@ -42,9 +41,7 @@ func (v *View) WriteSnapshot(w io.Writer) error {
 		return err
 	}
 	n := v.sk.Len()
-	var buf [4]byte
-	binary.BigEndian.PutUint32(buf[:], uint32(n))
-	if _, err := bw.Write(buf[:]); err != nil {
+	if err := writeU32(bw, uint32(n)); err != nil {
 		return err
 	}
 	for id := int64(1); id <= int64(n); id++ {
@@ -62,12 +59,9 @@ func (v *View) WriteSnapshot(w io.Writer) error {
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	// Query workspaces (q$ tables) are always empty between operations
-	// and are rebuilt lazily; skip them so snapshots restore against a
-	// fresh view of the same spec.
-	return v.db.WriteSnapshotFiltered(w, func(name string) bool {
-		return !strings.HasPrefix(name, "q$")
-	})
+	// Skip query workspaces so snapshots restore against a fresh view of
+	// the same spec.
+	return v.db.WriteSnapshotFiltered(w, persistedTable)
 }
 
 // RestoreView rebuilds a view from a snapshot produced by WriteSnapshot
@@ -97,37 +91,24 @@ func RestoreView(spec *Spec, owner string, opts Options, r io.Reader) (*View, er
 		return nil, fmt.Errorf("%w (snapshot fingerprint %s, this spec is %s); re-exchange from the publication history instead of restoring",
 			ErrSnapshotSpecMismatch, fp, want)
 	}
-	var buf [4]byte
-	if _, err := io.ReadFull(br, buf[:]); err != nil {
+	n, err := readU32(br)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(buf[:])
 	// Re-intern in id order so every persisted null id resolves to the
 	// same term.
-	for i := uint32(0); i < n; i++ {
-		fnBytes, err := readBlob(br)
-		if err != nil {
-			return nil, err
-		}
-		argsKey, err := readBlob(br)
-		if err != nil {
-			return nil, err
-		}
-		args, err := value.DecodeTuple(string(argsKey))
-		if err != nil {
-			return nil, fmt.Errorf("core: snapshot Skolem %d: %w", i+1, err)
-		}
-		got := v.sk.Apply(string(fnBytes), args)
-		if got.NullID() != int64(i+1) {
-			return nil, fmt.Errorf("core: snapshot Skolem ids diverged at %d", i+1)
+	for id := int64(1); id <= int64(n); id++ {
+		if err := readSkolem(br, v.sk, id); err != nil {
+			return nil, fmt.Errorf("core: snapshot: %w", err)
 		}
 	}
 	loaded, err := storage.ReadSnapshot(br)
 	if err != nil {
 		return nil, err
 	}
-	// Copy loaded rows into the view's (already created, engine-bound)
-	// tables.
+	// Move the loaded rows into the view's (already created,
+	// engine-bound) tables: ReadSnapshot keyed every row once, so the
+	// keys and tuples are shared rather than encoded and cloned again.
 	for _, name := range loaded.Names() {
 		dst := v.db.Table(name)
 		if dst == nil {
@@ -138,8 +119,8 @@ func RestoreView(spec *Spec, owner string, opts Options, r io.Reader) (*View, er
 			return nil, fmt.Errorf("core: snapshot table %q arity %d, spec expects %d",
 				name, src.Arity(), dst.Arity())
 		}
-		src.Each(func(row value.Tuple) bool {
-			dst.Insert(row)
+		src.EachRow(func(row value.Row) bool {
+			dst.InsertRow(row)
 			return true
 		})
 	}
@@ -148,9 +129,7 @@ func RestoreView(spec *Spec, owner string, opts Options, r io.Reader) (*View, er
 }
 
 func writeBlob(w io.Writer, b []byte) error {
-	var buf [4]byte
-	binary.BigEndian.PutUint32(buf[:], uint32(len(b)))
-	if _, err := w.Write(buf[:]); err != nil {
+	if err := writeU32(w, uint32(len(b))); err != nil {
 		return err
 	}
 	_, err := w.Write(b)
@@ -158,13 +137,28 @@ func writeBlob(w io.Writer, b []byte) error {
 }
 
 func readBlob(r io.Reader) ([]byte, error) {
-	var buf [4]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
+	n, err := readU32(r)
+	if err != nil {
 		return nil, err
 	}
-	b := make([]byte, binary.BigEndian.Uint32(buf[:]))
+	b := make([]byte, n)
 	if _, err := io.ReadFull(r, b); err != nil {
 		return nil, err
 	}
 	return b, nil
+}
+
+func writeU32(w io.Writer, n uint32) error {
+	var buf [4]byte
+	binary.BigEndian.PutUint32(buf[:], n)
+	_, err := w.Write(buf[:])
+	return err
+}
+
+func readU32(r io.Reader) (uint32, error) {
+	var buf [4]byte
+	if _, err := io.ReadFull(r, buf[:]); err != nil {
+		return 0, err
+	}
+	return binary.BigEndian.Uint32(buf[:]), nil
 }

@@ -79,6 +79,10 @@ type View struct {
 	// relation, for support checks.
 	byTargetRel map[string][]mappingTarget
 
+	// skMark is the interner length at the last TrackChanges: the
+	// labeled nulls past it belong in the next change record.
+	skMark int
+
 	// qcache is the hot-query result cache (nil when disabled); see
 	// querycache.go.
 	qcache *queryCache
@@ -152,6 +156,9 @@ func (v *View) compile() error {
 	v.byTargetRel = make(map[string][]mappingTarget)
 	v.dropScratchTables()
 	v.chkDB, v.chkEv = nil, nil
+	// A recompiled view's next checkpoint is a full snapshot under the
+	// new spec fingerprint, never a change record against the old one.
+	v.db.BreakChanges()
 
 	// Internal schema: four tables per user relation (Fig. 2).
 	baseRels := make(map[string]bool)

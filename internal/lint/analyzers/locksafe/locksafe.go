@@ -58,6 +58,7 @@ var Blocking = map[string]string{
 	// Durability (fsync under the System lock stalls every view reader).
 	"orchestra/internal/statestore.Open":                       "reads and validates the checkpoint directory",
 	"(orchestra/internal/statestore.Store).SaveView":           "writes and fsyncs a snapshot",
+	"(orchestra/internal/statestore.Store).AppendView":         "writes and fsyncs a journal frame",
 	"(orchestra/internal/statestore.Store).SetSpecFingerprint": "rewrites and fsyncs the manifest",
 	"(orchestra/internal/statestore.Store).Remove":             "rewrites and fsyncs the manifest",
 	"orchestra/internal/logstore.Open":                         "replays the publication log",

@@ -2,29 +2,39 @@
 // durable peer state between update exchanges (§4–§5's auxiliary
 // storage — the role Berkeley DB played under Tukwila in Orchestra).
 //
-// A Store owns one directory per system. It holds a checksummed
-// snapshot file per view (the core snapshot encoding, written via
-// temp file + atomic rename + fsync) and a manifest recording, for
-// each view, its publication-bus cursor and snapshot generation. A
-// restarting node reloads every snapshot and then fast-forwards each
-// view by replaying only the publications past its persisted cursor.
+// A Store owns one directory per system. Per view it holds a base
+// snapshot (the core snapshot encoding, written via temp file + atomic
+// rename + fsync) and beside it a journal of that base's later
+// checkpoints: each one a frame holding the view's net change since the
+// previous checkpoint and, last, its commit record (the bus cursor the
+// view reached). A manifest records, for each view, the base
+// generation and the cursor the base reflects. A restarting node loads
+// every base, applies its journal's complete frames in order, and then
+// fast-forwards each view by replaying only the publications past the
+// last frame's cursor — the state is the fold of one ordered update
+// sequence, and a snapshot memoises a prefix of it.
 //
-// Crash-safety protocol (write path):
+// Crash-safety protocol (write path). A journal append writes one
+// frame at the journal's end and fsyncs it; the frame is committed once
+// its checksum verifies. A full checkpoint (SaveView, the "fold"):
 //
-//  1. the new snapshot generation is written to a temp file, fsynced,
-//     and renamed into place;
+//  1. the new base generation is written to a temp file, fsynced,
+//     and renamed into place, with an empty journal;
 //  2. the manifest (also temp + rename + fsync) is committed, now
 //     pointing at the new generation;
-//  3. the previous generation's file is deleted (best effort).
+//  3. the previous generation's snapshot and journal are deleted (best
+//     effort; Open sweeps any a crash left behind).
 //
 // A crash between any two steps leaves the manifest pointing at a
-// complete, checksummed snapshot: either the old generation (steps
-// 1–2) or the new one (step 3). Torn writes are caught on load by the
-// CRC and length recorded in the snapshot header.
+// complete, checksummed base: either the old generation with its
+// journal (steps 1–2) or the new one (step 3). Torn writes are caught
+// on load by the CRC and length in every frame header; Open truncates
+// a journal's torn tail, so recovery resumes from the last complete
+// frame.
 //
-// Invariant: a view's persisted cursor never exceeds its snapshot's
-// publication horizon — SaveView records the cursor and the snapshot
-// bytes in one call, and rejects cursor regressions.
+// Invariant: a view's persisted cursor never exceeds the publication
+// horizon of its base plus journal — SaveView and AppendView record the
+// cursor and the state in one write, and reject cursor regressions.
 //
 // A directory has exactly one live Store: Open takes an exclusive
 // advisory lock (a LOCK file, held until Close or process death), so
@@ -40,9 +50,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,13 +68,17 @@ const (
 	manifestName  = "MANIFEST.json"
 	lockName      = "LOCK"
 	snapshotMagic = "OSS1"
+	journalMagic  = "OSJ1"
 	// manifestVersion guards against future format changes.
 	manifestVersion = 1
 )
 
 // ViewState describes one view's persisted checkpoint: which owner it
-// belongs to, the bus cursor the snapshot reflects (the number of
-// publications already applied), and the snapshot file generation.
+// belongs to, the bus cursor the checkpoint reflects (the number of
+// publications already applied), and the base snapshot's file
+// generation. The manifest records the base's cursor; View, Views,
+// ReadManifest and every caller-facing ViewState report the last
+// committed journal frame's, the point recovery resumes from.
 // Position, when non-empty, is the durable form of the view's typed
 // bus cursor (core.Cursor.String): the same total as Cursor plus the
 // per-shard breakdown push streaming resumes from. Manifests written
@@ -90,11 +107,14 @@ type manifest struct {
 // Metrics holds the store's instruments. The zero value disables all of
 // them (obs instruments are nil-safe).
 type Metrics struct {
-	// CheckpointSeconds observes each SaveView's wall clock, in seconds.
+	// CheckpointSeconds observes each SaveView's and AppendView's wall
+	// clock, in seconds.
 	CheckpointSeconds *obs.Histogram
-	// CheckpointBytes observes each snapshot's payload size, in bytes.
+	// CheckpointBytes observes each snapshot's or journal frame's
+	// payload size, in bytes.
 	CheckpointBytes *obs.Histogram
-	// CheckpointFailures counts SaveView calls that returned an error.
+	// CheckpointFailures counts SaveView and AppendView calls that
+	// returned an error.
 	CheckpointFailures *obs.Counter
 }
 
@@ -114,15 +134,33 @@ type Store struct {
 
 	mu sync.Mutex
 	m  manifest
+	// journals holds each persisted view's journal state; the manifest
+	// describes only the bases.
+	journals map[string]*journal
+}
+
+// journal is one view's current generation's journal.
+type journal struct {
+	// base is the base snapshot's payload size and size the journal
+	// file's committed length, the two sides of the caller's fold rule.
+	base, size int64
+	// cursor and position are the last frame's commit record (the
+	// base's while the journal is empty).
+	cursor   int
+	position string
+	// broken is set when an append failed: the file may hold a partial
+	// frame, so nothing more is appended until SaveView starts a new
+	// generation.
+	broken bool
 }
 
 // SetMetrics installs checkpoint instruments. Call it right after Open;
 // it is not synchronized against concurrent SaveViews.
 func (s *Store) SetMetrics(m Metrics) { s.metrics = m }
 
-// LastSaveTime reports when the store last committed a snapshot (the
-// Open time if it never has). Safe to call from metric callbacks — it
-// reads one atomic.
+// LastSaveTime reports when the store last committed a snapshot or a
+// journal frame (the Open time if it never has). Safe to call from
+// metric callbacks — it reads one atomic.
 func (s *Store) LastSaveTime() time.Time {
 	return time.Unix(0, s.lastSave.Load())
 }
@@ -147,7 +185,7 @@ func Open(dir string) (*Store, error) {
 		lock.Close()
 		return nil, err
 	}
-	s := &Store{dir: dir, lock: lock, m: manifest{Version: manifestVersion, Views: map[string]*ViewState{}}}
+	s := &Store{dir: dir, lock: lock, m: manifest{Version: manifestVersion, Views: map[string]*ViewState{}}, journals: map[string]*journal{}}
 	s.lastSave.Store(time.Now().UnixNano())
 	// A crash between CreateTemp and rename orphans a temp file; nothing
 	// references it, so sweep the debris of earlier runs. The lock above
@@ -157,32 +195,109 @@ func Open(dir string) (*Store, error) {
 			os.Remove(path)
 		}
 	}
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if os.IsNotExist(err) {
-		return s, nil
-	} else if err != nil {
-		return fail(fmt.Errorf("statestore: reading manifest: %w", err))
-	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return fail(fmt.Errorf("statestore: corrupt manifest: %w", err))
-	}
-	if m.Version != manifestVersion {
-		return fail(fmt.Errorf("statestore: manifest version %d, want %d", m.Version, manifestVersion))
-	}
-	if m.Views == nil {
-		m.Views = map[string]*ViewState{}
+	m, err := readManifest(dir)
+	if err != nil {
+		return fail(err)
 	}
 	for owner, vs := range m.Views {
 		if vs == nil || vs.Owner != owner {
 			return fail(fmt.Errorf("statestore: manifest entry %q is inconsistent", owner))
 		}
-		if _, err := os.Stat(filepath.Join(dir, vs.File)); err != nil {
+		fi, err := os.Stat(filepath.Join(dir, vs.File))
+		if err != nil {
 			return fail(fmt.Errorf("statestore: manifest references missing snapshot for view %q: %w", owner, err))
 		}
+		j, err := openJournal(dir, vs, fi.Size()-frameHeaderLen)
+		if err != nil {
+			return fail(err)
+		}
+		s.journals[owner] = j
 	}
 	s.m = m
+	s.sweepOrphans()
 	return s, nil
+}
+
+// readManifest reads a directory's manifest; a directory without one is
+// an empty store.
+func readManifest(dir string) (manifest, error) {
+	m := manifest{Version: manifestVersion, Views: map[string]*ViewState{}}
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if os.IsNotExist(err) {
+		return m, nil
+	} else if err != nil {
+		return m, fmt.Errorf("statestore: reading manifest: %w", err)
+	}
+	if err := json.Unmarshal(data, &m); err != nil {
+		return m, fmt.Errorf("statestore: corrupt manifest: %w", err)
+	}
+	if m.Version != manifestVersion {
+		return m, fmt.Errorf("statestore: manifest version %d, want %d", m.Version, manifestVersion)
+	}
+	if m.Views == nil {
+		m.Views = map[string]*ViewState{}
+	}
+	return m, nil
+}
+
+// openJournal reads the journal of the base vs names, truncating a torn
+// tail (a crash mid-append) so the next append continues after the last
+// complete frame. A missing journal is an empty one.
+func openJournal(dir string, vs *ViewState, base int64) (*journal, error) {
+	j := &journal{base: base, cursor: vs.Cursor, position: vs.Position}
+	path := filepath.Join(dir, journalFileName(vs.Owner, vs.Generation))
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return j, nil
+	} else if err != nil {
+		return nil, fmt.Errorf("statestore: reading journal of view %q: %w", vs.Owner, err)
+	}
+	frames, valid := decodeJournal(data)
+	for _, fr := range frames {
+		if fr.Cursor < j.cursor {
+			return nil, fmt.Errorf("statestore: journal of view %q regresses its cursor %d -> %d", vs.Owner, j.cursor, fr.Cursor)
+		}
+		j.cursor, j.position = fr.Cursor, fr.Position
+	}
+	j.size = int64(valid)
+	if valid < len(data) {
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err == nil {
+			err = f.Truncate(j.size)
+			if err == nil {
+				err = f.Sync()
+			}
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("statestore: truncating torn tail of view %q's journal: %w", vs.Owner, err)
+		}
+		log.Printf("statestore: view %q: repaired torn journal tail, dropped %d bytes after frame %d",
+			vs.Owner, len(data)-valid, len(frames))
+	}
+	return j, nil
+}
+
+// sweepOrphans removes the view snapshots and journals the manifest does
+// not name: a crash after a manifest commit but before the previous
+// generation's files were deleted leaves them behind, and nothing would
+// ever read them. Callers hold the directory lock.
+func (s *Store) sweepOrphans() {
+	live := make(map[string]bool, 2*len(s.m.Views))
+	for _, vs := range s.m.Views {
+		live[vs.File] = true
+		live[journalFileName(vs.Owner, vs.Generation)] = true
+	}
+	for _, pattern := range []string{"view-*.snap", "view-*.jnl"} {
+		paths, _ := filepath.Glob(filepath.Join(s.dir, pattern))
+		for _, path := range paths {
+			if !live[filepath.Base(path)] {
+				os.Remove(path)
+			}
+		}
+	}
 }
 
 // ManifestInfo is a read-only peek at a checkpoint directory's
@@ -199,24 +314,26 @@ type ManifestInfo struct {
 // always internally consistent — just possibly one checkpoint behind
 // the live writer. A directory without a manifest is an empty store.
 func ReadManifest(dir string) (ManifestInfo, error) {
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if os.IsNotExist(err) {
-		return ManifestInfo{}, nil
-	} else if err != nil {
-		return ManifestInfo{}, fmt.Errorf("statestore: reading manifest: %w", err)
-	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return ManifestInfo{}, fmt.Errorf("statestore: corrupt manifest: %w", err)
-	}
-	if m.Version != manifestVersion {
-		return ManifestInfo{}, fmt.Errorf("statestore: manifest version %d, want %d", m.Version, manifestVersion)
+	m, err := readManifest(dir)
+	if err != nil {
+		return ManifestInfo{}, err
 	}
 	info := ManifestInfo{Spec: m.Spec}
 	for _, vs := range m.Views {
-		if vs != nil {
-			info.Views = append(info.Views, *vs)
+		if vs == nil {
+			continue
 		}
+		state := *vs
+		// A journal being appended to may end in a partial frame, and one a
+		// concurrent fold just replaced may be gone: either way the
+		// complete frames are a committed prefix.
+		if data, err := os.ReadFile(filepath.Join(dir, journalFileName(vs.Owner, vs.Generation))); err == nil {
+			if frames, _ := decodeJournal(data); len(frames) > 0 {
+				last := frames[len(frames)-1]
+				state.Cursor, state.Position = last.Cursor, last.Position
+			}
+		}
+		info.Views = append(info.Views, state)
 	}
 	sort.Slice(info.Views, func(i, j int) bool { return info.Views[i].Owner < info.Views[j].Owner })
 	return info, nil
@@ -272,8 +389,8 @@ func (s *Store) Views() []ViewState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]ViewState, 0, len(s.m.Views))
-	for _, vs := range s.m.Views {
-		out = append(out, *vs)
+	for owner := range s.m.Views {
+		out = append(out, s.stateLocked(owner))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Owner < out[j].Owner })
 	return out
@@ -283,17 +400,27 @@ func (s *Store) Views() []ViewState {
 func (s *Store) View(owner string) (ViewState, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	vs, ok := s.m.Views[owner]
-	if !ok {
+	if _, ok := s.m.Views[owner]; !ok {
 		return ViewState{}, false
 	}
-	return *vs, true
+	return s.stateLocked(owner), true
 }
 
-// SaveView atomically checkpoints one view: write fills in the
-// snapshot payload (the core snapshot encoding); cursor is the bus
-// position the snapshot reflects; specFP is the fingerprint of the spec
-// the snapshot was taken under. Snapshot, cursor, and fingerprint
+// stateLocked is owner's manifest entry with the journal's committed
+// cursor. Callers hold s.mu and know the entry exists.
+func (s *Store) stateLocked(owner string) ViewState {
+	vs := *s.m.Views[owner]
+	if j := s.journals[owner]; j != nil {
+		vs.Cursor, vs.Position = j.cursor, j.position
+	}
+	return vs
+}
+
+// SaveView atomically checkpoints one view as a new base generation
+// with an empty journal: write fills in the snapshot payload (the core
+// snapshot encoding); cursor is the bus position the snapshot reflects;
+// specFP is the fingerprint of the spec the snapshot was taken under.
+// Snapshot, cursor, and fingerprint
 // commit together in one manifest write, so the persisted cursor can
 // never exceed the snapshot's publication horizon and the manifest's
 // spec always matches the newest snapshot — even when a crash
@@ -332,8 +459,8 @@ func (s *Store) saveView(owner string, cursor int, position, specFP string, writ
 	prev := s.m.Views[owner]
 	gen := uint64(1)
 	if prev != nil {
-		if cursor < prev.Cursor {
-			return fmt.Errorf("statestore: cursor regression for view %q: %d -> %d", owner, prev.Cursor, cursor)
+		if tip := s.stateLocked(owner); cursor < tip.Cursor {
+			return fmt.Errorf("statestore: cursor regression for view %q: %d -> %d", owner, tip.Cursor, cursor)
 		}
 		gen = prev.Generation + 1
 	}
@@ -353,15 +480,135 @@ func (s *Store) saveView(owner string, cursor int, position, specFP string, writ
 		os.Remove(filepath.Join(s.dir, file))
 		return err
 	}
+	s.journals[owner] = &journal{base: int64(payload.Len()), cursor: cursor, position: position}
 	if prev != nil && prev.File != file {
-		os.Remove(filepath.Join(s.dir, prev.File)) // best effort
+		s.removeGeneration(prev) // best effort
 	}
 	return nil
 }
 
-// LoadView opens a persisted snapshot, verifying its length and
-// checksum, and returns the recorded state plus a reader over the
-// snapshot payload.
+// removeGeneration deletes one base generation's snapshot and journal
+// (best effort: Open sweeps what a crash or an error leaves behind).
+func (s *Store) removeGeneration(vs *ViewState) {
+	os.Remove(filepath.Join(s.dir, vs.File))
+	os.Remove(filepath.Join(s.dir, journalFileName(vs.Owner, vs.Generation)))
+}
+
+// JournalSize reports the payload bytes of owner's base snapshot and
+// the bytes of its journal, for the caller's choice between AppendView
+// and SaveView. ok is false when AppendView would fail: no base exists,
+// or an append failed since the base was written.
+func (s *Store) JournalSize(owner string) (base, journal int64, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j := s.journals[owner]
+	if j == nil || j.broken || s.lock == nil {
+		return 0, 0, false
+	}
+	return j.base, j.size, true
+}
+
+// AppendView checkpoints one view by appending a frame to its base's
+// journal: record (the caller's change record since the previous
+// checkpoint) followed by the commit record — cursor and position, as
+// SaveView takes them. The frame is fsynced before AppendView returns;
+// it is committed once it is complete on disk. Cursor regressions are
+// rejected. After a failed append the journal takes no more frames
+// until SaveView writes a new base.
+func (s *Store) AppendView(owner string, cursor int, position string, record []byte) error {
+	start := time.Now()
+	n, err := s.appendView(owner, cursor, position, record)
+	s.metrics.CheckpointSeconds.Observe(time.Since(start).Seconds())
+	if err != nil {
+		s.metrics.CheckpointFailures.Inc()
+		return err
+	}
+	s.metrics.CheckpointBytes.Observe(float64(n))
+	s.lastSave.Store(time.Now().UnixNano())
+	return nil
+}
+
+func (s *Store) appendView(owner string, cursor int, position string, record []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.lock == nil {
+		return 0, fmt.Errorf("statestore: store is closed")
+	}
+	vs, j := s.m.Views[owner], s.journals[owner]
+	if vs == nil || j == nil || j.broken {
+		return 0, fmt.Errorf("statestore: view %q has no base snapshot to append to", owner)
+	}
+	if cursor < j.cursor {
+		return 0, fmt.Errorf("statestore: cursor regression for view %q: %d -> %d", owner, j.cursor, cursor)
+	}
+	frame := encodeJournalFrame(record, cursor, position)
+	path := filepath.Join(s.dir, journalFileName(owner, vs.Generation))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		j.broken = true
+		return 0, fmt.Errorf("statestore: %w", err)
+	}
+	// Write at the committed end, not the file's: Open truncated any torn
+	// tail, and a failed append stops further ones.
+	if _, err = f.WriteAt(frame, j.size); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		j.broken = true
+		return 0, fmt.Errorf("statestore: appending to view %q's journal: %w", owner, err)
+	}
+	if j.size == 0 {
+		syncDir(s.dir) // the journal file was just created
+	}
+	j.size += int64(len(frame))
+	j.cursor, j.position = cursor, position
+	return len(frame) - frameHeaderLen, nil
+}
+
+// JournalRecord is one committed journal frame: a change record and the
+// cursor its checkpoint reached.
+type JournalRecord struct {
+	Record   []byte
+	Cursor   int
+	Position string
+}
+
+// LoadJournal returns the committed frames of owner's journal in append
+// order (none when the base has no journal). Recovery applies them, in
+// order, to the state LoadView's snapshot restores.
+func (s *Store) LoadJournal(owner string) ([]JournalRecord, error) {
+	s.mu.Lock()
+	vs, j := s.m.Views[owner], s.journals[owner]
+	if vs == nil || j == nil {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("statestore: no persisted state for view %q", owner)
+	}
+	path, size := filepath.Join(s.dir, journalFileName(owner, vs.Generation)), j.size
+	s.mu.Unlock()
+	if size == 0 {
+		return nil, nil
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("statestore: reading journal of view %q: %w", owner, err)
+	}
+	if int64(len(data)) < size {
+		return nil, fmt.Errorf("statestore: journal of view %q is %d bytes, %d committed", owner, len(data), size)
+	}
+	out, valid := decodeJournal(data[:size])
+	if int64(valid) != size {
+		return nil, fmt.Errorf("statestore: journal of view %q changed since it was opened", owner)
+	}
+	return out, nil
+}
+
+// LoadView opens a persisted base snapshot, verifying its length and
+// checksum, and returns the state the base records plus a reader over
+// the snapshot payload. The view's later checkpoints are LoadJournal's
+// frames.
 func (s *Store) LoadView(owner string) (ViewState, io.Reader, error) {
 	s.mu.Lock()
 	vs, ok := s.m.Views[owner]
@@ -383,8 +630,8 @@ func (s *Store) LoadView(owner string) (ViewState, io.Reader, error) {
 	return state, bytes.NewReader(payload), nil
 }
 
-// Remove drops a view's persisted state (manifest entry + snapshot
-// file). Removing an absent view is a no-op.
+// Remove drops a view's persisted state (manifest entry, snapshot and
+// journal). Removing an absent view is a no-op.
 func (s *Store) Remove(owner string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -404,13 +651,91 @@ func (s *Store) Remove(owner string) error {
 	if err := s.commitManifest(updated); err != nil {
 		return err
 	}
-	os.Remove(filepath.Join(s.dir, prev.File)) // best effort
+	delete(s.journals, owner)
+	s.removeGeneration(prev) // best effort
 	return nil
 }
 
-// Snapshot file layout: magic "OSS1", uint32 CRC-32 (IEEE) of the
-// payload, uint64 payload length, payload. Length and CRC catch torn
-// or bit-rotted snapshots at load time.
+// Framing: a snapshot file is one frame and a journal a sequence of
+// frames, each laid out as a 4-byte magic ("OSS1" for a snapshot,
+// "OSJ1" for a journal frame), uint32 CRC-32 (IEEE) of the payload,
+// uint64 payload length, payload. Length and CRC catch torn or
+// bit-rotted files at load time. A journal frame's payload is a change
+// record followed by its commit record: the position, uint32 position
+// length, uint64 cursor.
+
+const (
+	frameHeaderLen = 4 + 4 + 8
+	commitLen      = 4 + 8
+)
+
+func frameHeader(magic string, payload []byte) [frameHeaderLen]byte {
+	var h [frameHeaderLen]byte
+	copy(h[:], magic)
+	binary.BigEndian.PutUint32(h[4:], crc32.ChecksumIEEE(payload))
+	binary.BigEndian.PutUint64(h[8:], uint64(len(payload)))
+	return h
+}
+
+// decodeFrame decodes the frame at the start of data, returning its
+// payload and the frame's length.
+func decodeFrame(data []byte, magic string) (payload []byte, n int, err error) {
+	if len(data) < frameHeaderLen {
+		return nil, 0, fmt.Errorf("short frame header (%d bytes, torn write?)", len(data))
+	}
+	if string(data[:len(magic)]) != magic {
+		return nil, 0, fmt.Errorf("bad frame magic %q", data[:len(magic)])
+	}
+	wantCRC := binary.BigEndian.Uint32(data[4:])
+	wantLen := binary.BigEndian.Uint64(data[8:])
+	if have := uint64(len(data) - frameHeaderLen); wantLen > have {
+		return nil, 0, fmt.Errorf("frame payload is %d bytes, header says %d (torn write?)", have, wantLen)
+	}
+	payload = data[frameHeaderLen : frameHeaderLen+int(wantLen)]
+	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
+		return nil, 0, fmt.Errorf("frame checksum mismatch (got %08x, want %08x)", got, wantCRC)
+	}
+	return payload, frameHeaderLen + int(wantLen), nil
+}
+
+// encodeJournalFrame frames a change record and its commit record
+// (position, position length, cursor).
+func encodeJournalFrame(record []byte, cursor int, position string) []byte {
+	frame := make([]byte, frameHeaderLen, frameHeaderLen+len(record)+len(position)+commitLen)
+	frame = append(frame, record...)
+	frame = append(frame, position...)
+	frame = binary.BigEndian.AppendUint32(frame, uint32(len(position)))
+	frame = binary.BigEndian.AppendUint64(frame, uint64(cursor))
+	header := frameHeader(journalMagic, frame[frameHeaderLen:])
+	copy(frame, header[:])
+	return frame
+}
+
+// decodeJournal parses the complete frames at the start of a journal,
+// stopping at the first torn or corrupt one, and returns them with the
+// length of the valid prefix: the point a crash mid-append is truncated
+// back to.
+func decodeJournal(data []byte) (frames []JournalRecord, valid int) {
+	for valid < len(data) {
+		payload, n, err := decodeFrame(data[valid:], journalMagic)
+		if err != nil || len(payload) < commitLen {
+			break
+		}
+		end := len(payload) - commitLen
+		posLen := int(binary.BigEndian.Uint32(payload[end:]))
+		cursor := binary.BigEndian.Uint64(payload[end+4:])
+		if posLen > end || cursor > math.MaxInt {
+			break
+		}
+		frames = append(frames, JournalRecord{
+			Record:   payload[:end-posLen],
+			Cursor:   int(cursor),
+			Position: string(payload[end-posLen : end]),
+		})
+		valid += n
+	}
+	return frames, valid
+}
 
 func (s *Store) writeSnapshotFile(name string, payload []byte) error {
 	f, err := os.CreateTemp(s.dir, name+".tmp")
@@ -423,10 +748,7 @@ func (s *Store) writeSnapshotFile(name string, payload []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	var header [len(snapshotMagic) + 4 + 8]byte
-	copy(header[:], snapshotMagic)
-	binary.BigEndian.PutUint32(header[4:], crc32.ChecksumIEEE(payload))
-	binary.BigEndian.PutUint64(header[8:], uint64(len(payload)))
+	header := frameHeader(snapshotMagic, payload)
 	if _, err := f.Write(header[:]); err != nil {
 		return cleanup(fmt.Errorf("statestore: %w", err))
 	}
@@ -449,21 +771,12 @@ func (s *Store) writeSnapshotFile(name string, payload []byte) error {
 }
 
 func decodeSnapshotFile(data []byte) ([]byte, error) {
-	headerLen := len(snapshotMagic) + 4 + 8
-	if len(data) < headerLen {
-		return nil, fmt.Errorf("short snapshot file (%d bytes)", len(data))
+	payload, n, err := decodeFrame(data, snapshotMagic)
+	if err != nil {
+		return nil, err
 	}
-	if string(data[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, fmt.Errorf("bad snapshot magic %q", data[:len(snapshotMagic)])
-	}
-	wantCRC := binary.BigEndian.Uint32(data[4:])
-	wantLen := binary.BigEndian.Uint64(data[8:])
-	payload := data[headerLen:]
-	if uint64(len(payload)) != wantLen {
-		return nil, fmt.Errorf("snapshot payload is %d bytes, header says %d (torn write?)", len(payload), wantLen)
-	}
-	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-		return nil, fmt.Errorf("snapshot checksum mismatch (got %08x, want %08x)", got, wantCRC)
+	if n != len(data) {
+		return nil, fmt.Errorf("snapshot file has %d bytes past its payload", len(data)-n)
 	}
 	return payload, nil
 }
@@ -512,6 +825,11 @@ func snapshotFileName(owner string, gen uint64) string {
 		name = hex.EncodeToString([]byte(owner))
 	}
 	return fmt.Sprintf("view-%s-%d.snap", name, gen)
+}
+
+// journalFileName names the journal of one base generation.
+func journalFileName(owner string, gen uint64) string {
+	return strings.TrimSuffix(snapshotFileName(owner, gen), ".snap") + ".jnl"
 }
 
 // syncDir fsyncs a directory so a just-committed rename survives power

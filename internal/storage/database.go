@@ -13,6 +13,8 @@ import (
 // peers' relation instances and provenance" locally).
 type Database struct {
 	tables map[string]*Table
+	// track is the change log of TrackChanges (nil when untracked).
+	track *changeLog
 }
 
 // NewDatabase returns an empty database.
@@ -27,6 +29,7 @@ func (db *Database) Create(name string, arity int) (*Table, error) {
 	}
 	t := NewTable(name, arity)
 	db.tables[name] = t
+	db.schemaChanged(name)
 	return t, nil
 }
 
@@ -44,7 +47,20 @@ func (db *Database) MustCreate(name string, arity int) *Table {
 func (db *Database) Table(name string) *Table { return db.tables[name] }
 
 // Drop removes a table (used for transient query workspaces).
-func (db *Database) Drop(name string) { delete(db.tables, name) }
+func (db *Database) Drop(name string) {
+	if _, ok := db.tables[name]; ok {
+		delete(db.tables, name)
+		db.schemaChanged(name)
+	}
+}
+
+// schemaChanged breaks the change log when a tracked table is created
+// or dropped: a row-level record cannot express it.
+func (db *Database) schemaChanged(name string) {
+	if db.track != nil && db.track.include(name) {
+		db.track.broken = true
+	}
+}
 
 // Names returns all table names, sorted.
 func (db *Database) Names() []string {

@@ -43,6 +43,9 @@ type Table struct {
 	stats    TableStats
 	statsGen uint64
 	statsOK  bool
+	// track records net row changes for a persisted view's next
+	// checkpoint (nil when untracked; see changes.go).
+	track *tableChanges
 }
 
 // colIndex maps a column value to the dense bucket of rows holding it.
@@ -128,6 +131,9 @@ func (t *Table) insert(r value.Row) {
 	for _, idx := range t.indexes {
 		idx.add(r)
 	}
+	if t.track != nil {
+		t.track.record(r, true)
+	}
 }
 
 // Delete removes tup, returning true if it was present.
@@ -177,6 +183,9 @@ func (t *Table) deleteAt(i int) {
 	t.gen++
 	for _, idx := range t.indexes {
 		idx.remove(r)
+	}
+	if t.track != nil {
+		t.track.record(r, false)
 	}
 }
 
@@ -247,8 +256,12 @@ func (t *Table) Rows() []value.Tuple {
 	return t.sorted
 }
 
-// Clear removes all rows but keeps index definitions.
+// Clear removes all rows but keeps index definitions. On a tracked
+// table it breaks the database's change log.
 func (t *Table) Clear() {
+	if t.track != nil {
+		t.track.log.broken = true
+	}
 	t.pos = make(map[string]int)
 	t.rows = nil
 	t.bytes = 0

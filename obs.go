@@ -451,7 +451,7 @@ func (s *System) initObs(o *Observability, slowQuery time.Duration) {
 			CheckpointSeconds: r.Histogram("orchestra_checkpoint_duration_seconds",
 				"Wall clock of one view checkpoint.", obs.DurationBuckets()),
 			CheckpointBytes: r.Histogram("orchestra_checkpoint_bytes",
-				"Size of one view snapshot payload.", obs.SizeBuckets()),
+				"Size of one view checkpoint: a snapshot or journal frame payload.", obs.SizeBuckets()),
 			CheckpointFailures: r.Counter("orchestra_checkpoint_failures_total",
 				"View checkpoints that failed."),
 		})

@@ -74,12 +74,14 @@ func WithBus(bus PublicationBus) Option {
 }
 
 // WithPersistence makes the System durable: dir becomes its state
-// directory, holding one checksummed snapshot per view plus a manifest
-// of bus cursors (internal/statestore), and — when no WithBus is given
-// — a durable sharded publication log (the "bus.shards" directory)
-// replacing the default in-memory bus. New recovers every persisted
-// view from its snapshot; the next Exchange then replays only the
-// publications past the view's persisted cursor. Checkpoints are taken per the configured policy
+// directory, holding per view a checksummed base snapshot and a
+// journal of the net changes checkpointed since, plus a manifest of
+// base generations (internal/statestore), and — when no WithBus is
+// given — a durable sharded publication log (the "bus.shards"
+// directory) replacing the default in-memory bus. New recovers every
+// persisted view from its base snapshot and journal; the next Exchange
+// then replays only the publications past the view's persisted
+// cursor. Checkpoints are taken per the configured policy
 // (default: after every exchange that applied publications) and via
 // System.Checkpoint.
 //

@@ -1,6 +1,7 @@
 package orchestra
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -25,11 +26,21 @@ const busLogName = "bus.olg"
 // directory still holding bus.olg is migrated on open.
 const busShardDirName = "bus.shards"
 
+// journalFoldFraction bounds a view's journal against its base
+// snapshot: a checkpoint appends its change record while the journal
+// stays within 1/journalFoldFraction of the base's bytes, and folds
+// into a new full snapshot past that. Recovery therefore replays at
+// most an eighth of a base's worth of changes on top of it, and the
+// amortised snapshot rewrite costs about one eighth of a byte per
+// journal byte appended.
+const journalFoldFraction = 8
+
 // openPersistence wires a System to its state directory: it opens the
 // statestore, substitutes a durable sharded bus when the caller
 // did not supply one, and recovers every persisted view — restoring
-// its snapshot and resuming its bus cursor so the next Exchange
-// replays only publications past the checkpoint.
+// its base snapshot, applying its journal's change records and
+// resuming the last one's bus cursor so the next Exchange replays only
+// publications past the checkpoint.
 func (s *System) openPersistence(cfg *config) error {
 	st, err := statestore.Open(cfg.persist.dir)
 	if err != nil {
@@ -80,6 +91,9 @@ func (s *System) openPersistence(cfg *config) error {
 			return err
 		}
 		v, err := core.RestoreView(s.spec, vs.Owner, s.opts, r)
+		if err == nil {
+			err = applyJournal(st, v)
+		}
 		if errors.Is(err, core.ErrSnapshotSpecMismatch) || (err == nil && vs.Cursor > 0 && vs.Position == "") {
 			// Two kinds of snapshot cannot be resumed: one that a crash
 			// between a spec evolution's per-view checkpoints left stamped
@@ -113,8 +127,25 @@ func (s *System) openPersistence(cfg *config) error {
 			return fmt.Errorf("orchestra: view %q persisted position %q disagrees with cursor %d",
 				vs.Owner, vs.Position, vs.Cursor)
 		}
+		v.TrackChanges()
 		s.setupView(vs.Owner, v)
 		s.views[vs.Owner] = &viewHandle{view: v, cursor: cursor}
+	}
+	return nil
+}
+
+// applyJournal brings a view restored from its base snapshot to its
+// last committed checkpoint by applying the journal's change records in
+// order.
+func applyJournal(st *statestore.Store, v *core.View) error {
+	frames, err := st.LoadJournal(v.Owner())
+	if err != nil {
+		return err
+	}
+	for i, fr := range frames {
+		if err := v.ApplyChanges(bytes.NewReader(fr.Record)); err != nil {
+			return fmt.Errorf("journal frame %d: %w", i+1, err)
+		}
 	}
 	return nil
 }
@@ -163,15 +194,42 @@ func (s *System) Checkpoint(ctx context.Context) error {
 }
 
 // checkpointLocked persists one view; the caller holds h.mu, so the
-// snapshot observes a quiescent view and the cursor written beside it
-// is exactly the snapshot's publication horizon.
+// checkpoint observes a quiescent view and the cursor written beside it
+// is exactly the checkpoint's publication horizon. It appends the
+// view's change record since its last checkpoint to the journal when it
+// can — a base exists, the view tracked every change since, and the
+// journal stays within its fold bound — and otherwise folds: a full
+// snapshot starting a new base generation. A view that neither changed
+// nor moved its cursor writes nothing.
 func (s *System) checkpointLocked(ctx context.Context, owner string, h *viewHandle) error {
 	if err := h.view.Repair(ctx); err != nil {
 		return err
 	}
-	if err := s.store.SaveView(owner, h.cursor.Total(), h.cursor.String(), h.view.Spec().Fingerprint(), h.view.WriteSnapshot); err != nil {
+	total, pos := h.cursor.Total(), h.cursor.String()
+	if n, tracked := h.view.PendingChanges(); tracked {
+		if tip, ok := s.store.View(owner); ok && n == 0 && tip.Cursor == total && tip.Position == pos {
+			h.sinceCkpt = 0
+			return nil
+		}
+		if base, journal, ok := s.store.JournalSize(owner); ok {
+			var rec bytes.Buffer
+			if err := h.view.WriteChanges(&rec); err != nil {
+				return err
+			}
+			if journal+int64(rec.Len()) <= base/journalFoldFraction {
+				if err := s.store.AppendView(owner, total, pos, rec.Bytes()); err != nil {
+					return err
+				}
+				h.view.TrackChanges()
+				h.sinceCkpt = 0
+				return nil
+			}
+		}
+	}
+	if err := s.store.SaveView(owner, total, pos, h.view.Spec().Fingerprint(), h.view.WriteSnapshot); err != nil {
 		return err
 	}
+	h.view.TrackChanges()
 	h.sinceCkpt = 0
 	return nil
 }

@@ -582,3 +582,366 @@ func TestConcurrentExchangeWithCheckpoints(t *testing.T) {
 		t.Errorf("recovered digest diverged:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// copyStateDir copies a state directory file by file, as a backup of a
+// live node's disk would: recovery from the copy must reproduce the
+// node's views. Copying between operations, the copy is a consistent
+// cut.
+func copyStateDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// journalFiles lists a state directory's view journals.
+func journalFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "view-*.jnl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
+// checkpointKinds classifies the checkpoints between two PersistedViews
+// readings: a view whose generation moved was folded into a new base
+// snapshot, one whose cursor moved at the same generation appended a
+// journal frame.
+func checkpointKinds(before, after []orchestra.ViewState) (appends, folds int) {
+	prev := map[string]orchestra.ViewState{}
+	for _, vs := range before {
+		prev[vs.Owner] = vs
+	}
+	for _, vs := range after {
+		p, ok := prev[vs.Owner]
+		switch {
+		case !ok || p.Generation != vs.Generation:
+			folds++
+		case p.Cursor != vs.Cursor:
+			appends++
+		}
+	}
+	return appends, folds
+}
+
+// TestJournalRecoveryEquivalence is the journal's recovery property:
+// after every exchange of a random history, a System opened on a copy
+// of the state directory — base snapshots plus journals — has the same
+// instances, provenance answers and Pending counts as the live one, on
+// both the durable in-memory bus and the HTTP bus. The histories must
+// drive both checkpoint kinds: journal appends and folds into a new
+// base.
+func TestJournalRecoveryEquivalence(t *testing.T) {
+	sp := parseTestSpec(t)
+	ctx := context.Background()
+	owners := []string{"", "PGUS", "PBioSQL", "PuBio"}
+
+	check := func(t *testing.T, seed int64, open func(t *testing.T, dir string) *orchestra.System) {
+		dir := t.TempDir()
+		sys := open(t, dir)
+		defer sys.Close()
+		var appends, folds int
+		for i, p := range randomHistory(seed, 16) {
+			if err := sys.Publish(ctx, p.peer, p.log); err != nil {
+				t.Fatal(err)
+			}
+			before, err := sys.PersistedViews()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, owner := range owners {
+				if _, err := sys.Exchange(ctx, owner); err != nil {
+					t.Fatal(err)
+				}
+			}
+			after, err := sys.PersistedViews()
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, f := checkpointKinds(before, after)
+			appends, folds = appends+a, folds+f
+
+			recovered := open(t, copyStateDir(t, dir))
+			for _, owner := range owners {
+				if got, want := digest(t, recovered, owner), digest(t, sys, owner); got != want {
+					t.Fatalf("seed %d, publication %d: view %q recovered from the copy diverged:\n-- recovered --\n%s\n-- live --\n%s",
+						seed, i, owner, got, want)
+				}
+				got, err := recovered.Pending(ctx, owner)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := sys.Pending(ctx, owner)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("seed %d, publication %d: view %q has %d pending after recovery, live has %d", seed, i, owner, got, want)
+				}
+			}
+			if err := recovered.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t.Logf("seed %d: %d journal appends, %d folds", seed, appends, folds)
+		if appends == 0 || folds == 0 {
+			t.Errorf("seed %d: %d journal appends and %d folds; the history must drive both", seed, appends, folds)
+		}
+	}
+
+	for seed := int64(0); seed < 3; seed++ {
+		t.Run(fmt.Sprintf("seed%d/membus", seed), func(t *testing.T) {
+			check(t, seed, func(t *testing.T, dir string) *orchestra.System {
+				sys, err := orchestra.New(sp, orchestra.WithPersistence(dir))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sys
+			})
+		})
+		t.Run(fmt.Sprintf("seed%d/httpbus", seed), func(t *testing.T) {
+			srv := orchestra.NewBusServer()
+			ts := httptest.NewServer(srv)
+			t.Cleanup(func() { ts.Close(); srv.Close() })
+			check(t, seed, func(t *testing.T, dir string) *orchestra.System {
+				sys, err := orchestra.New(sp,
+					orchestra.WithBus(orchestra.NewHTTPBus(ts.URL)),
+					orchestra.WithPersistence(dir))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sys
+			})
+		})
+	}
+}
+
+// seedBase publishes n distinct G tuples and exchanges the global view,
+// so its first checkpoint — always a fold — writes a base large enough
+// that single-publication checkpoints after it append.
+func seedBase(t *testing.T, sys *orchestra.System, n int) {
+	t.Helper()
+	ctx := context.Background()
+	var log orchestra.EditLog
+	for i := 0; i < n; i++ {
+		log = append(log, orchestra.Ins("G", orchestra.MakeTuple(100+i, 200+i, 300+i)))
+	}
+	if err := sys.Publish(ctx, "PGUS", log); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Exchange(ctx, ""); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJournalTornTailResumesFromPreviousCommit cuts the journal's last
+// frame in half, as a crash mid-append would: recovery drops it and
+// resumes from the frame before, so exactly the publications past that
+// commit are pending again, and replaying them converges.
+func TestJournalTornTailResumesFromPreviousCommit(t *testing.T) {
+	sp := parseTestSpec(t)
+	ctx := context.Background()
+	dir := t.TempDir()
+	sys, err := orchestra.New(sp, orchestra.WithPersistence(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedBase(t, sys, 40)
+	var cursors []int
+	for _, p := range randomHistory(1, 4) {
+		if err := sys.Publish(ctx, p.peer, p.log); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Exchange(ctx, ""); err != nil {
+			t.Fatal(err)
+		}
+		views, err := sys.PersistedViews()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if views[0].Generation != 1 {
+			t.Fatalf("checkpoint at cursor %d folded (generation %d); this test needs appends", views[0].Cursor, views[0].Generation)
+		}
+		cursors = append(cursors, views[0].Cursor)
+	}
+	want := digest(t, sys, "")
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	jnl := journalFiles(t, dir)
+	if len(jnl) != 1 {
+		t.Fatalf("journals %v, want one", jnl)
+	}
+	data, err := os.ReadFile(jnl[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cut the last frame mid-frame: keep a few of its bytes.
+	if err := os.WriteFile(jnl[0], data[:len(data)-10], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	sys, err = orchestra.New(sp, orchestra.WithPersistence(dir))
+	if err != nil {
+		t.Fatalf("recovery over a torn journal: %v", err)
+	}
+	defer sys.Close()
+	resume := cursors[len(cursors)-2]
+	if views, _ := sys.PersistedViews(); len(views) != 1 || views[0].Cursor != resume {
+		t.Fatalf("recovered checkpoint %+v, want the previous commit at cursor %d", views, resume)
+	}
+	horizon, err := sys.BusHorizon(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pending, err := sys.Pending(ctx, ""); err != nil || pending != horizon.Total()-resume {
+		t.Fatalf("pending = %d, %v; want horizon %d minus cursor %d", pending, err, horizon.Total(), resume)
+	}
+	if _, err := sys.Exchange(ctx, ""); err != nil {
+		t.Fatal(err)
+	}
+	if got := digest(t, sys, ""); got != want {
+		t.Errorf("view after torn-tail recovery diverged:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestJournalEvolutionFolds: a spec evolution between two appends
+// recompiles the view, so its checkpoint is a fold under the new
+// fingerprint, and the next exchange appends to the new base.
+func TestJournalEvolutionFolds(t *testing.T) {
+	sp := parseTestSpec(t)
+	ctx := context.Background()
+	dir := t.TempDir()
+	sys, err := orchestra.New(sp, orchestra.WithPersistence(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	seedBase(t, sys, 40)
+	history := randomHistory(2, 2)
+	exchange := func(i int) orchestra.ViewState {
+		t.Helper()
+		if err := sys.Publish(ctx, history[i].peer, history[i].log); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Exchange(ctx, ""); err != nil {
+			t.Fatal(err)
+		}
+		views, err := sys.PersistedViews()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return views[0]
+	}
+	if vs := exchange(0); vs.Generation != 1 {
+		t.Fatalf("first single-publication checkpoint %+v, want an append to generation 1", vs)
+	}
+	diff, err := orchestra.ParseSpecDiffString("remove mapping m4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.ApplyDiff(ctx, diff); err != nil {
+		t.Fatal(err)
+	}
+	views, err := sys.PersistedViews()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if views[0].Generation != 2 {
+		t.Fatalf("checkpoint after ApplyDiff %+v, want a fold to generation 2", views[0])
+	}
+	if vs := exchange(1); vs.Generation != 2 {
+		t.Fatalf("checkpoint after the fold %+v, want an append to generation 2", vs)
+	}
+	if jnl := journalFiles(t, dir); len(jnl) != 1 || !strings.HasSuffix(jnl[0], "-2.jnl") {
+		t.Fatalf("journals %v, want only generation 2's", jnl)
+	}
+	want := digest(t, sys, "")
+	recovered, err := orchestra.New(sys.Spec(), orchestra.WithPersistence(copyStateDir(t, dir)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	if got := digest(t, recovered, ""); got != want {
+		t.Errorf("recovered evolved view diverged:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// histogramSum reads a histogram's _sum and _count from Prometheus
+// text.
+func histogramSum(t *testing.T, o *orchestra.Observability, name string) (sum float64, count int) {
+	t.Helper()
+	var b strings.Builder
+	if err := o.Registry().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		var v float64
+		if _, err := fmt.Sscanf(line, name+"_sum %g", &v); err == nil {
+			sum = v
+		}
+		if _, err := fmt.Sscanf(line, name+"_count %g", &v); err == nil {
+			count = int(v)
+		}
+	}
+	return sum, count
+}
+
+// TestCheckpointBytesFollowTheDelta: after seeding, a one-publication
+// exchange's checkpoint writes at most a tenth of the full snapshot's
+// bytes, as the System's own orchestra_checkpoint_bytes reports it.
+func TestCheckpointBytesFollowTheDelta(t *testing.T) {
+	ctx := context.Background()
+	o := orchestra.NewObservability(0)
+	sys, err := orchestra.New(parseTestSpec(t), orchestra.WithPersistence(t.TempDir()), orchestra.WithObservability(o))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	seedBase(t, sys, 60)
+	full, n := histogramSum(t, o, "orchestra_checkpoint_bytes")
+	if n != 1 {
+		t.Fatalf("%d checkpoints after seeding, want 1", n)
+	}
+	if err := sys.Publish(ctx, "PGUS", orchestra.EditLog{orchestra.Ins("G", orchestra.MakeTuple(1, 2, 3))}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Exchange(ctx, ""); err != nil {
+		t.Fatal(err)
+	}
+	sum, n := histogramSum(t, o, "orchestra_checkpoint_bytes")
+	if n != 2 {
+		t.Fatalf("%d checkpoints after one more exchange, want 2", n)
+	}
+	if delta := sum - full; delta > full/10 {
+		t.Errorf("one-publication checkpoint wrote %.0f bytes against a %.0f-byte snapshot; want at most a tenth", delta, full)
+	}
+	// A checkpoint with nothing new writes nothing.
+	if err := sys.Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, n := histogramSum(t, o, "orchestra_checkpoint_bytes"); n != 2 {
+		t.Errorf("an unchanged view's checkpoint wrote a frame (%d checkpoints, want 2)", n)
+	}
+}
