@@ -29,8 +29,10 @@ lint: bin/orchestralint
 	@# old benchmark-snapshot gate (bench/ is the one benchmark), the
 	@# second orchestrator (orchestra.System is the one), and the
 	@# test-only provenance wrappers and §4.1.3 inverse program (the
-	@# inverse program is a test oracle in internal/core).
-	@if grep -rnE 'FetchSince|CursorFromTotal|AdaptBus|LegacyBus|"/since"|WithBackend|WithDeletionStrategy|WithMaxIterations|WithSplitProvTables|WithExchangeCoalescing|CompareBenchReports|RunBenchCases|LoadBenchReport|\bWithParallelism\b|NewCDSS|RestoreInto|TrustEval|RankTrust|DerivationCounts|SupportDeclarative|InverseProgram' \
+	@# inverse program is a test oracle in internal/core), and the
+	@# history replay of base-trust changes (base trust is a filter on
+	@# the (ℓR) rule, repaired in place by ApplyTrust).
+	@if grep -rnE 'FetchSince|CursorFromTotal|AdaptBus|LegacyBus|"/since"|WithBackend|WithDeletionStrategy|WithMaxIterations|WithSplitProvTables|WithExchangeCoalescing|CompareBenchReports|RunBenchCases|LoadBenchReport|\bWithParallelism\b|NewCDSS|RestoreInto|TrustEval|RankTrust|DerivationCounts|SupportDeclarative|InverseProgram|replayViewLocked|BaseTrustChanged|trustsBase' \
 		--include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . ; then \
 		echo "lint: removed surface reappeared (see above)"; exit 1; fi
 

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 
-	"orchestra/internal/core"
 	"orchestra/internal/evolve"
 	"orchestra/internal/spec"
 	"orchestra/internal/tgd"
@@ -26,13 +24,12 @@ import (
 //   - RemoveMapping and trust revocation are the paper's
 //     provenance-driven deletion generalized from tuple deletions to
 //     rule deletions: exactly the tuples whose every derivation uses a
-//     removed (or newly untrusted) mapping are deleted.
-//   - Base-level trust changes (peer distrust, base conditions) filter
-//     tuples at import time and are therefore history-dependent — a
-//     grant cannot resurrect tuples that were never imported, and a
-//     revocation cannot reconstruct the rejections that deletion edits
-//     would have left — so the affected peer's view is rebuilt by
-//     replaying the publication history up to its cursor.
+//     removed (or newly untrusted) mapping or base tuple are deleted.
+//   - Trust grants run a semi-naive round seeded with the populate
+//     rules the new policy may newly accept. Base-level trust (peer
+//     distrust, base conditions) is a filter on the rule that feeds a
+//     relation's local contributions into its instance, and every view
+//     stores every contribution, so no trust change reads the bus.
 //
 // Evolution is exclusive: it locks the whole System (no exchanges,
 // queries, or checkpoints run concurrently) and, under WithPersistence,
@@ -86,13 +83,11 @@ func (s *System) RemoveMapping(ctx context.Context, id string) error {
 }
 
 // SetTrust replaces a peer's entire trust policy on the running system
-// (nil restores the default trust-everything Θ). Mapping-level
-// conditions repair in place: derivations the new policy rejects are
-// revoked via provenance-driven deletion, and derivations it newly
-// accepts are re-derived from data still in the views. Changing the
-// peer's base-level trust (peer distrust, base conditions) instead
-// rebuilds that peer's view from the publication history — import-time
-// filtering is history-dependent, so in-place repair cannot be exact.
+// (nil restores the default trust-everything Θ). Every view repairs in
+// place, for mapping-level and base-level trust alike: derivations the
+// new policy rejects are revoked via provenance-driven deletion, and
+// derivations it newly accepts are derived from data already in the
+// views, without fetching from the bus.
 func (s *System) SetTrust(ctx context.Context, peer string, pol *TrustPolicy) error {
 	return s.applyOps(ctx, []evolve.Op{{Kind: evolve.OpSetTrust, TrustPeer: peer, Policy: pol}})
 }
@@ -135,7 +130,7 @@ func (s *System) applyOps(ctx context.Context, ops []evolve.Op) error {
 	}()
 
 	for i, op := range ops {
-		if err := s.applyOpLocked(ctx, op, owners); err != nil {
+		if err := s.applyOpLocked(ctx, op, owners, handles); err != nil {
 			return fmt.Errorf("orchestra: evolution op %d (%s): %w", i+1, op.Kind, err)
 		}
 	}
@@ -147,12 +142,8 @@ func (s *System) applyOps(ctx context.Context, ops []evolve.Op) error {
 		if err := s.store.SetSpecFingerprint(s.spec.Fingerprint()); err != nil {
 			return fmt.Errorf("orchestra: evolution applied but fingerprint update failed: %w", err)
 		}
-		for _, owner := range owners {
-			h, ok := s.views[owner]
-			if !ok {
-				continue // view was dropped by a failed replay
-			}
-			if err := s.checkpointLocked(ctx, owner, h); err != nil {
+		for i, owner := range owners {
+			if err := s.checkpointLocked(ctx, owner, handles[i]); err != nil {
 				return fmt.Errorf("orchestra: evolution applied but checkpoint of view %q failed: %w", owner, err)
 			}
 		}
@@ -162,32 +153,18 @@ func (s *System) applyOps(ctx context.Context, ops []evolve.Op) error {
 
 // applyOpLocked applies one operation under the System's exclusive lock.
 // The new spec is installed before the views repair: a view whose repair
-// fails is left dirty (it recovers by full recomputation from its base
-// tables, which evolution never corrupts) or — when even that cannot
-// reconstruct it, i.e. a failed history replay — dropped, to be rebuilt
-// from publication zero on next use.
-func (s *System) applyOpLocked(ctx context.Context, op evolve.Op, owners []string) error {
+// fails is left dirty and recovers by full recomputation from its base
+// tables, which evolution never corrupts.
+func (s *System) applyOpLocked(ctx context.Context, op evolve.Op, owners []string, handles []*viewHandle) error {
 	newSpec, err := evolve.ApplyOp(s.spec, op)
 	if err != nil {
 		return err
 	}
-	oldSpec := s.spec
 	s.spec = newSpec
 	s.specGen++
 
-	trustPeer := op.TrustPeer
-	if op.Kind == evolve.OpTrustDirective {
-		if f := strings.Fields(op.Directive); len(f) > 0 {
-			trustPeer = f[0]
-		}
-	}
-
 	var firstErr error
-	for _, owner := range owners {
-		h, ok := s.views[owner]
-		if !ok {
-			continue
-		}
+	for i, h := range handles {
 		var verr error
 		switch op.Kind {
 		case evolve.OpAddPeer:
@@ -195,53 +172,13 @@ func (s *System) applyOpLocked(ctx context.Context, op evolve.Op, owners []strin
 		case evolve.OpAddMapping:
 			_, verr = h.view.AddMappings(ctx, newSpec, []string{op.Mapping.ID})
 		case evolve.OpRemoveMapping:
-			_, verr = h.view.RemoveMappings(ctx, newSpec, []string{op.MappingID}, core.DeleteProvenance)
+			_, verr = h.view.RemoveMappings(ctx, newSpec, []string{op.MappingID})
 		case evolve.OpSetTrust, evolve.OpTrustDirective:
-			if owner == trustPeer && core.BaseTrustChanged(oldSpec, newSpec, trustPeer) {
-				if verr = s.replayViewLocked(ctx, owner, h, newSpec); verr != nil {
-					// The old view is unrecoverable in place (base-level
-					// trust filters at import time, so its Rℓ/Rr no longer
-					// reflect the history); drop it so the next use
-					// rebuilds from publication zero.
-					delete(s.views, owner)
-					if s.store != nil {
-						s.store.Remove(owner)
-					}
-				}
-			} else {
-				_, verr = h.view.ApplyTrust(ctx, newSpec, core.DeleteProvenance)
-			}
+			_, verr = h.view.ApplyTrust(ctx, newSpec)
 		}
 		if verr != nil && firstErr == nil {
-			firstErr = fmt.Errorf("repairing view %q: %w", owner, verr)
+			firstErr = fmt.Errorf("repairing view %q: %w", owners[i], verr)
 		}
 	}
 	return firstErr
-}
-
-// replayViewLocked rebuilds one view from the publication history: a
-// fresh view of newSpec replays exactly the publications the old view
-// had applied ([0, cursor)), then replaces it. The cursor is unchanged,
-// so pending publications stay pending.
-func (s *System) replayViewLocked(ctx context.Context, owner string, h *viewHandle, newSpec *core.Spec) error {
-	v, err := core.NewView(newSpec, owner, s.opts)
-	if err != nil {
-		return err
-	}
-	s.setupView(owner, v)
-	deltas, _, err := s.bus.Fetch(ctx, core.Cursor{})
-	if err != nil {
-		return err
-	}
-	applied := h.cursor.Total()
-	if len(deltas) < applied {
-		return fmt.Errorf("orchestra: bus holds %d publications but view %q has applied %d; cannot replay", len(deltas), owner, applied)
-	}
-	for _, d := range deltas[:applied] {
-		if _, err := v.ApplyEdits(ctx, d.Pub.Log, core.DeleteProvenance); err != nil {
-			return err
-		}
-	}
-	h.view = v
-	return nil
 }

@@ -3,12 +3,14 @@ package orchestra
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"orchestra/internal/engine"
@@ -153,9 +155,21 @@ func uniqueFirstCols(rows []Tuple) map[Value]bool {
 	return out
 }
 
-// TestSystemEvolutionBaseTrustReplay exercises the replay fallback:
-// loosening base-level trust rebuilds the peer's view from the
-// publication history, resurrecting tuples that were never imported.
+// fetchCountingBus wraps a bus and counts Fetch calls.
+type fetchCountingBus struct {
+	PublicationBus
+	fetches atomic.Int64
+}
+
+func (b *fetchCountingBus) Fetch(ctx context.Context, from Cursor) ([]Delta, Cursor, error) {
+	b.fetches.Add(1)
+	return b.PublicationBus.Fetch(ctx, from)
+}
+
+// TestSystemEvolutionBaseTrustReplay checks that a base-level trust
+// change replays nothing: granting and revoking trust in a peer repair
+// the views in place from the contributions they already store, issue
+// no bus Fetch, and end equal to a fresh System over the same bus.
 func TestSystemEvolutionBaseTrustReplay(t *testing.T) {
 	ctx := context.Background()
 	f, err := ParseSpecString(`
@@ -168,15 +182,18 @@ mapping m1: G(i,c,n) -> B(i,n)
 	}
 	pol := NewTrustPolicy("PBioSQL")
 	pol.DistrustPeer("PGUS")
-	sys, err := New(f.Spec, WithTrustFor("PBioSQL", pol))
+	bus := &fetchCountingBus{PublicationBus: NewMemoryBus()}
+	sys, err := New(f.Spec, WithTrustFor("PBioSQL", pol), WithBus(bus))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Publish(ctx, "PGUS", EditLog{Ins("G", MakeTuple(1, 2, 3))}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Exchange(ctx, "PBioSQL"); err != nil {
-		t.Fatal(err)
+	for _, owner := range []string{"PBioSQL", ""} {
+		if _, err := sys.Exchange(ctx, owner); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rows, err := sys.Instance("PBioSQL", "B")
 	if err != nil {
@@ -185,19 +202,44 @@ mapping m1: G(i,c,n) -> B(i,n)
 	if len(rows) != 0 {
 		t.Fatalf("distrusted peer's data imported: %v", rows)
 	}
-	// Loosen: PGUS becomes trusted; the view replays and B(1,3) appears
-	// even though the publication was consumed long ago.
-	if err := sys.SetTrust(ctx, "PBioSQL", nil); err != nil {
-		t.Fatal(err)
+
+	matchesFresh := func(label string) {
+		t.Helper()
+		fresh, err := New(sys.Spec(), WithBus(sys.Bus()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, owner := range []string{"PBioSQL", ""} {
+			if _, err := fresh.Exchange(ctx, owner); err != nil {
+				t.Fatal(err)
+			}
+		}
+		assertStatesEqual(t, label, captureState(t, sys), captureState(t, fresh))
 	}
-	rows, err = sys.Instance("PBioSQL", "B")
-	if err != nil {
-		t.Fatal(err)
+	setTrust := func(label string, pol *TrustPolicy, wantRows int) {
+		t.Helper()
+		before := bus.fetches.Load()
+		if err := sys.SetTrust(ctx, "PBioSQL", pol); err != nil {
+			t.Fatal(err)
+		}
+		if n := bus.fetches.Load() - before; n != 0 {
+			t.Fatalf("%s: SetTrust issued %d bus fetches, want 0", label, n)
+		}
+		rows, err := sys.Instance("PBioSQL", "B")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != wantRows {
+			t.Fatalf("%s: PBioSQL's B = %v, want %d rows", label, rows, wantRows)
+		}
+		matchesFresh(label)
 	}
-	if len(rows) != 1 {
-		t.Fatalf("replay did not resurrect the newly trusted derivation: %v", rows)
-	}
-	// Pending publications stayed pending (cursor unchanged by replay).
+	// Grant: PGUS becomes trusted and B(1,3) appears even though the
+	// publication was consumed long ago.
+	setTrust("grant", nil, 1)
+	// Revoke: distrusting PGUS again removes it.
+	setTrust("revoke", pol, 0)
+	// Pending publications stayed pending (cursors never move).
 	if n, err := sys.Pending(ctx, "PBioSQL"); err != nil || n != 0 {
 		t.Fatalf("pending = %d, %v", n, err)
 	}
@@ -266,64 +308,6 @@ func captureState(t *testing.T, sys *System) systemState {
 		out[owner] = st
 	}
 	return out
-}
-
-// assertNullBijection checks that the labeled-null ids of two systems
-// relate by one consistent bijection across every instance of every
-// owner view — ids are history-dependent (an evolved system interned
-// nulls for since-removed mappings), but a well-repaired system uses its
-// ids consistently everywhere.
-func assertNullBijection(t *testing.T, a, b *System) {
-	t.Helper()
-	fwd := make(map[int64]int64)
-	rev := make(map[int64]int64)
-	owners := append(a.Peers(), "")
-	for _, owner := range owners {
-		for _, rel := range a.RelationNames() {
-			ra, err := a.Instance(owner, rel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rb, err := b.Instance(owner, rel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ra) != len(rb) {
-				t.Fatalf("owner %q rel %q: %d vs %d rows", owner, rel, len(ra), len(rb))
-			}
-			byDesc := func(sys *System, rows []Tuple) map[string]Tuple {
-				m := make(map[string]Tuple, len(rows))
-				for _, r := range rows {
-					d, err := sys.Describe(owner, r)
-					if err != nil {
-						t.Fatal(err)
-					}
-					m[d] = r
-				}
-				return m
-			}
-			ma, mb := byDesc(a, ra), byDesc(b, rb)
-			for d, ta := range ma {
-				tb, ok := mb[d]
-				if !ok {
-					t.Fatalf("owner %q rel %q: row %s missing from fresh system", owner, rel, d)
-				}
-				for i := range ta {
-					if !ta[i].IsNull() {
-						continue
-					}
-					ai, bi := ta[i].NullID(), tb[i].NullID()
-					if prev, ok := fwd[ai]; ok && prev != bi {
-						t.Fatalf("null id %d maps to both %d and %d", ai, prev, bi)
-					}
-					if prev, ok := rev[bi]; ok && prev != ai {
-						t.Fatalf("null id %d mapped from both %d and %d", bi, prev, ai)
-					}
-					fwd[ai], rev[bi] = bi, ai
-				}
-			}
-		}
-	}
 }
 
 func assertStatesEqual(t *testing.T, label string, got, want systemState) {
@@ -485,8 +469,8 @@ func runEvolveScenario(t *testing.T, be engine.Backend, seed int64) {
 	setTrust := func() {
 		peers := sys.Peers()
 		peer := peers[rng.Intn(len(peers))]
-		switch rng.Intn(3) {
-		case 0: // clear (may trigger the replay path)
+		switch rng.Intn(4) {
+		case 0: // clear
 			if err := sys.SetTrust(ctx, peer, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -509,13 +493,43 @@ func runEvolveScenario(t *testing.T, be engine.Backend, seed int64) {
 			if err := sys.SetTrust(ctx, peer, pol); err != nil {
 				t.Fatal(err)
 			}
-		default: // base-level peer distrust (tightening)
+		case 2: // base-level peer distrust
 			other := peers[rng.Intn(len(peers))]
 			if other == peer {
 				return
 			}
 			pol := NewTrustPolicy(peer)
 			pol.DistrustPeer(other)
+			if err := sys.SetTrust(ctx, peer, pol); err != nil {
+				t.Fatal(err)
+			}
+		default: // base condition on another peer's relation
+			var rels []string
+			for _, r := range sys.Spec().Universe.Relations() {
+				if r.Peer != peer {
+					rels = append(rels, r.Name)
+				}
+			}
+			if len(rels) == 0 {
+				return
+			}
+			rel := sys.Spec().Universe.Relation(rels[rng.Intn(len(rels))])
+			col := rel.Cols[rng.Intn(len(rel.Cols))].Name
+			var k int64
+			switch col {
+			case "key": // workload keys count up from 1
+				k = rng.Int63n(16)
+			case "a", "b": // publishAdded's value range
+				k = rng.Int63n(50)
+			default: // hashed attribute values
+				k = rng.Int63()
+			}
+			pred, err := ParseTrustPred(fmt.Sprintf("%s >= %d", col, k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pol := NewTrustPolicy(peer)
+			pol.DistrustBase(rel.Name, pred)
 			if err := sys.SetTrust(ctx, peer, pol); err != nil {
 				t.Fatal(err)
 			}
@@ -570,7 +584,7 @@ func runEvolveScenario(t *testing.T, be engine.Backend, seed int64) {
 	}
 
 	assertStatesEqual(t, fmt.Sprintf("seed %d", seed), captureState(t, sys), captureState(t, fresh))
-	assertNullBijection(t, sys, fresh)
+	assertNullBijectionByOwner(t, sys, fresh)
 }
 
 // ---------------------------------------------------------------------------
@@ -757,6 +771,106 @@ mapping m1: G(i,c,n) -> B(i,n)
 	}
 	if len(rows) != 2 {
 		t.Fatalf("rebuilt instance B = %v, want m1's and m2's derivations", rows)
+	}
+}
+
+// TestRecoveryRebuildsPreTrustFilterSnapshot checks that recovery
+// discards an "ORV2" view snapshot: one taken while Rℓ held only the
+// tuples the owner trusted, which a later trust grant could not repair.
+// The view rebuilds from the publication history and then equals a
+// fresh System, before and after granting trust.
+func TestRecoveryRebuildsPreTrustFilterSnapshot(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	f, err := ParseSpecString(`
+peer PGUS { relation G(id int, can int, nam int) }
+peer PBioSQL { relation B(id int, nam int) }
+mapping m1: G(i,c,n) -> B(i,n)
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := NewTrustPolicy("PBioSQL")
+	pol.DistrustPeer("PGUS")
+	sys, err := New(f.Spec, WithTrustFor("PBioSQL", pol), WithPersistence(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Publish(ctx, "PGUS", EditLog{Ins("G", MakeTuple(1, 2, 3))}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Exchange(ctx, "PBioSQL"); err != nil {
+		t.Fatal(err)
+	}
+	specNow := sys.Spec()
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Re-save PBioSQL's snapshot under the previous format's magic.
+	st, err := statestore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, r, err := st.LoadView("PBioSQL")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(raw[:4]) != "ORV3" {
+		t.Fatalf("snapshot magic %q, want ORV3", raw[:4])
+	}
+	copy(raw, "ORV2")
+	if err := st.SaveView("PBioSQL", vs.Cursor, vs.Position, specNow.Fingerprint(), func(w io.Writer) error {
+		_, err := w.Write(raw)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sys2, err := New(specNow, WithPersistence(dir))
+	if err != nil {
+		t.Fatalf("recovery refused the ORV2 snapshot instead of discarding it: %v", err)
+	}
+	defer sys2.Close()
+	if views, _ := sys2.PersistedViews(); len(views) != 0 {
+		t.Fatalf("ORV2 checkpoint survived: %+v", views)
+	}
+	if n, err := sys2.Pending(ctx, "PBioSQL"); err != nil || n != 1 {
+		t.Fatalf("pending after reopen = %d, %v; want a rebuild from publication zero", n, err)
+	}
+	matchesFresh := func(label string) {
+		t.Helper()
+		if _, err := sys2.Exchange(ctx, "PBioSQL"); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(sys2.Spec(), WithBus(sys2.Bus()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.Exchange(ctx, "PBioSQL"); err != nil {
+			t.Fatal(err)
+		}
+		got, want := captureState(t, sys2)["PBioSQL"], captureState(t, fresh)["PBioSQL"]
+		assertStatesEqual(t, label, systemState{"PBioSQL": got}, systemState{"PBioSQL": want})
+	}
+	matchesFresh("rebuilt")
+	if err := sys2.SetTrust(ctx, "PBioSQL", nil); err != nil {
+		t.Fatal(err)
+	}
+	matchesFresh("granted")
+	rows, err := sys2.Instance("PBioSQL", "B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 {
+		t.Fatalf("grant after rebuild: PBioSQL's B = %v, want m1's derivation", rows)
 	}
 }
 

@@ -173,12 +173,9 @@ func runExchangeEquivalence(t *testing.T, be engine.Backend, seed int64) {
 
 // assertNullBijectionByOwner checks labeled-null consistency per owner
 // view: within each view the two systems' null ids must relate by one
-// consistent bijection across every relation. Unlike the evolution
-// test's assertNullBijection (one global map — valid there because
-// every view imports the identical stream identically), the map resets
-// per owner: each view has its own Skolem interner, and trust-filtered
-// views intern in their own order, so id mappings are only meaningful
-// view-locally.
+// consistent bijection across every relation. The map resets per owner:
+// each view has its own Skolem interner and interns in its own order,
+// so id mappings are only meaningful view-locally.
 func assertNullBijectionByOwner(t *testing.T, a, b *System) {
 	t.Helper()
 	owners := append(a.Peers(), "")
@@ -235,12 +232,11 @@ func assertNullBijectionByOwner(t *testing.T, a, b *System) {
 // TestExchangeEquivalenceBaseTrust pins the trust/coalescing
 // interaction the generic equivalence workload cannot reach (it runs
 // without trust policies): a base-distrusted tuple inserted in one
-// publication and deleted in a later one. The insert is vetoed at
-// import, so the later delete is a curation rejection — NetEffect's
-// membership simulation is trust-aware precisely so the coalesced pass
-// reaches the same rejection instead of cancelling the pair, and so
-// the outcome does not depend on how the edits were batched into
-// publications.
+// publication and deleted in a later one. Every view stores the insert
+// in Rℓ whatever its owner trusts, so the delete simply removes it —
+// coalesced or not, the outcome does not depend on how the edits were
+// batched into publications, and no view records a rejection the
+// publishing peer never made.
 func TestExchangeEquivalenceBaseTrust(t *testing.T) {
 	const cdss = `
 peer PGUS {
@@ -260,9 +256,8 @@ trust PBioSQL distrusts base G when id >= 3
 	}
 	pubs := []Publication{
 		{Peer: "PGUS", Log: EditLog{Ins("G", MakeTuple(1, 2, 3))}},
-		// Distrusted by PBioSQL (id >= 3): the insert is vetoed there,
-		// so the cross-publication delete must become a rejection in
-		// PBioSQL's view while cancelling cleanly everywhere else.
+		// Distrusted by PBioSQL (id >= 3): the cross-publication delete
+		// must cancel cleanly in every view, PBioSQL's included.
 		{Peer: "PGUS", Log: EditLog{Ins("G", MakeTuple(5, 1, 1))}},
 		{Peer: "PBioSQL", Log: EditLog{Ins("B", MakeTuple(7, 8))}},
 		{Peer: "PGUS", Log: EditLog{Del("G", MakeTuple(5, 1, 1))}},
@@ -292,17 +287,71 @@ trust PBioSQL distrusts base G when id >= 3
 		assertStatesEqual(t, "base-trust parallel+coalesced vs serial replay",
 			captureState(t, par), captureState(t, ref))
 		assertNullBijectionByOwner(t, par, ref)
-		// The vetoed-then-deleted tuples must be standing rejections in
-		// PBioSQL's view (they were never contributions there) on both
-		// systems — not silently cancelled.
+		// The distrusted-then-deleted tuples were PGUS's own retractions,
+		// not curation: PBioSQL's view holds no rejection of them.
 		for _, sys := range []*System{ref, par} {
 			rej, err := sys.Rejections("PBioSQL", "G")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(rej) != 2 {
-				t.Fatalf("PBioSQL rejections of G = %v, want the two distrusted deletes", rej)
+			if len(rej) != 0 {
+				t.Fatalf("PBioSQL rejections of G = %v, want none", rej)
 			}
+		}
+	}
+}
+
+// TestDistrustedRetractionHidesNoDerivation is the regression test for
+// base trust applied at import: PBioSQL distrusts PGUS, which inserts
+// and then deletes G(1,2,3), while the trusted mapping m2 derives the
+// same tuple from PuBio's U(1,2,3). PGUS's delete is a retraction of its
+// own contribution, not a rejection by PBioSQL, so PBioSQL must see the
+// m2 derivation exactly as PGUS and the global view do.
+func TestDistrustedRetractionHidesNoDerivation(t *testing.T) {
+	parsed, err := ParseSpecString(`
+peer PGUS    { relation G(id int, can int, nam int) }
+peer PBioSQL { relation B(id int, nam int) }
+peer PuBio   { relation U(id int, can int, nam int) }
+
+mapping m2: U(i,c,n) -> G(i,c,n)
+
+trust PBioSQL distrusts peer PGUS
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, be := range testBackends {
+		sys, err := New(parsed.Spec, withBackend(be))
+		if err != nil {
+			t.Fatal(err)
+		}
+		publishAll(t, sys, []Publication{
+			{Peer: "PGUS", Log: EditLog{Ins("G", MakeTuple(1, 2, 3))}},
+			{Peer: "PGUS", Log: EditLog{Del("G", MakeTuple(1, 2, 3))}},
+			{Peer: "PuBio", Log: EditLog{Ins("U", MakeTuple(1, 2, 3))}},
+		})
+		if _, err := sys.ExchangeAll(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Exchange(ctx, ""); err != nil {
+			t.Fatal(err)
+		}
+		for _, owner := range []string{"PGUS", "", "PBioSQL"} {
+			rows, err := sys.Instance(owner, "G")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != 1 || !rows[0].Equal(MakeTuple(1, 2, 3)) {
+				t.Errorf("%s: owner %q sees G = %v, want [(1,2,3)]", be, owner, rows)
+			}
+		}
+		rej, err := sys.Rejections("PBioSQL", "G")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rej) != 0 {
+			t.Errorf("%s: PBioSQL rejections of G = %v, want none", be, rej)
 		}
 	}
 }

@@ -17,7 +17,9 @@ func (s *System) Instance(owner, rel string) ([]Tuple, error) {
 }
 
 // LocalContributions returns a copy of the rows of Rℓ: the tuples the
-// owner's peer inserted itself.
+// relation's peer contributed, whether or not owner trusts them. Base
+// trust is applied by the rule feeding Rℓ into Rᵒ, so Instance shows
+// only the trusted ones.
 func (s *System) LocalContributions(owner, rel string) ([]Tuple, error) {
 	return s.tableRows(owner, rel, func(v *core.View, rel string) rowSource { return v.LocalTable(rel) })
 }

@@ -326,7 +326,7 @@ func GoBenches() []GoBench {
 				b.StopTimer()
 				s := setup(b)
 				b.StartTimer()
-				if _, err := s.view.RemoveMappings(context.Background(), s.reduced, []string{s.removed}, core.DeleteProvenance); err != nil {
+				if _, err := s.view.RemoveMappings(context.Background(), s.reduced, []string{s.removed}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -328,8 +328,8 @@ func TestExample4TrustConditions(t *testing.T) {
 
 func TestTokenLevelTrust(t *testing.T) {
 	// Example 7's flavor at token level: PBioSQL distrusts PuBio's base
-	// data entirely; U(2,5) is not imported, so B(3,2) loses its m4
-	// derivation but keeps the m1 one.
+	// data entirely; U(2,5) is stored in Rℓ but the (ℓR) rule does not
+	// accept it, so B(3,2) loses its m4 derivation but keeps the m1 one.
 	pol := trust.NewPolicy("PBioSQL")
 	pol.DistrustPeer("PuBio")
 	spec := paperSpec(t, map[string]*trust.Policy{"PBioSQL": pol})
@@ -342,8 +342,8 @@ func TestTokenLevelTrust(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if v.LocalTable("U").Len() != 0 {
-		t.Fatal("distrusted base data imported")
+	if n := v.DB().Table(provRelOf(locMapID("U"))).Len(); n != 0 {
+		t.Fatalf("distrusted base data has %d (ℓR) provenance rows", n)
 	}
 	if !hasRow(v.Instance("B"), MakeTuple(3, 2)) {
 		t.Fatal("B(3,2) lost despite m1 derivation")
@@ -550,7 +550,7 @@ func TestNetEffect(t *testing.T) {
 		Ins("B", MakeTuple(2, 2)), // un-rejects and contributes
 		Ins("B", MakeTuple(5, 5)), // plain insert
 	}
-	dl, dr, err := NetEffect(log, v.db, nil)
+	dl, dr, err := NetEffect(log, v.db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,10 +575,10 @@ func TestNetEffectErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := NetEffect(EditLog{Ins("Zed", MakeTuple(1))}, v.db, nil); err == nil {
+	if _, _, err := NetEffect(EditLog{Ins("Zed", MakeTuple(1))}, v.db); err == nil {
 		t.Fatal("unknown relation accepted")
 	}
-	if _, _, err := NetEffect(EditLog{Ins("B", MakeTuple(1))}, v.db, nil); err == nil {
+	if _, _, err := NetEffect(EditLog{Ins("B", MakeTuple(1))}, v.db); err == nil {
 		t.Fatal("wrong arity accepted")
 	}
 }

@@ -42,24 +42,19 @@ type EditLog []Edit
 //     this log) it is simply removed; otherwise the deletion is a
 //     curation rejection of imported data and t enters Rr.
 //
-// trusts, when non-nil, is the view owner's base-trust predicate
-// (§3.3): an insertion of a distrusted tuple withdraws any standing
-// rejection but does not make the tuple a local contribution — exactly
-// what applying the edit would do — so the simulated membership stays
-// faithful and a later "−t" in the same run correctly becomes a
-// rejection instead of cancelling against a contribution that was
-// never admitted. This keeps the net effect independent of how the
-// log was batched into publications (the exchange-coalescing
-// equivalence property). nil trusts everything.
+// Rℓ holds every contributed tuple, whether or not the view owner
+// trusts it: base trust is a filter on the (ℓR) rule (see View.compile),
+// so the net effect depends only on the edit history, never on the
+// observer's policy.
 //
 // The effects are returned as deltas over the internal Rℓ and Rr tables
 // of the view's database, relative to their current contents. Nothing is
 // applied.
-func NetEffect(log EditLog, db *storage.Database, trusts func(rel string, t value.Tuple) bool) (dl storage.DeltaSet, dr storage.DeltaSet, err error) {
+func NetEffect(log EditLog, db *storage.Database) (dl storage.DeltaSet, dr storage.DeltaSet, err error) {
 	// Simulated membership during the scan: touched keys only. Each tuple
 	// is canonically encoded once here; the key then flows through the
 	// membership probes and into the produced deltas.
-	type state struct{ inL, inR, touched, trusted bool }
+	type state struct{ inL, inR bool }
 	states := make(map[string]map[string]*state) // rel -> key -> state
 	tupOf := make(map[string]map[string]value.Tuple)
 	var keyBuf []byte
@@ -86,10 +81,6 @@ func NetEffect(log EditLog, db *storage.Database, trusts func(rel string, t valu
 			st = &state{
 				inL: lt.ContainsKey(string(keyBuf)),
 				inR: rt.ContainsKey(string(keyBuf)),
-				// Trust depends only on (rel, tuple): evaluate the policy
-				// once per distinct touched tuple, not per edit occurrence
-				// (coalesced runs repeat tuples freely).
-				trusted: trusts == nil || trusts(rel, t),
 			}
 			byKey[string(keyBuf)] = st
 			tupOf[rel][string(keyBuf)] = t.Clone()
@@ -102,12 +93,9 @@ func NetEffect(log EditLog, db *storage.Database, trusts func(rel string, t valu
 		if gerr != nil {
 			return nil, nil, gerr
 		}
-		st.touched = true
 		if e.Insert {
 			st.inR = false
-			if st.trusted {
-				st.inL = true
-			}
+			st.inL = true
 		} else {
 			if st.inL {
 				st.inL = false
@@ -122,9 +110,6 @@ func NetEffect(log EditLog, db *storage.Database, trusts func(rel string, t valu
 		lt := db.Table(LocalRel(rel))
 		rt := db.Table(RejectRel(rel))
 		for key, st := range byKey {
-			if !st.touched {
-				continue
-			}
 			row := value.KeyedRow(tupOf[rel][key], key)
 			wasL, wasR := lt.ContainsKey(key), rt.ContainsKey(key)
 			switch {

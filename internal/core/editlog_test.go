@@ -61,7 +61,7 @@ func TestNetEffectMatchesNaiveReplay(t *testing.T) {
 			}
 		}
 
-		dl, dr, err := NetEffect(log, v.DB(), nil)
+		dl, dr, err := NetEffect(log, v.DB())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestNetEffectSelfCancelling(t *testing.T) {
 		Ins("B", MakeTuple(2, 2)),
 		Del("B", MakeTuple(2, 2)),
 	}
-	dl, dr, err := NetEffect(log, v.DB(), nil)
+	dl, dr, err := NetEffect(log, v.DB())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"strings"
 
 	"orchestra/internal/provenance"
-	"orchestra/internal/trust"
 	"orchestra/internal/value"
 )
 
@@ -22,8 +20,9 @@ import (
 //     provenance-driven deletion generalized from tuple deletions to rule
 //     deletions: exactly the tuples whose every derivation uses a
 //     removed (or newly untrusted) mapping are deleted, via the same
-//     cascade + derivability loop ApplyEdits uses — or via DRed /
-//     full recomputation when those strategies are configured.
+//     cascade + derivability loop ApplyEdits uses. Trust grants are a
+//     semi-naive round seeded with the populate rules the new policies
+//     may newly accept.
 //
 // All operations follow the dirty-flag discipline of maintain.go: a
 // repair interrupted by cancellation leaves the view marked dirty, and
@@ -86,11 +85,8 @@ func (v *View) AddMappings(ctx context.Context, newSpec *Spec, added []string) (
 // RemoveMappings rewires the view onto newSpec — the current spec minus
 // the mappings named in removed — and deletes exactly the tuples whose
 // every derivation in the provenance graph uses a removed mapping (the
-// paper's deletion propagation generalized to rule deletions). With
-// DeleteDRed the removed mappings' derivations are over-deleted and
-// survivors re-derived; with DeleteRecompute the derived state is
-// rebuilt from base tables.
-func (v *View) RemoveMappings(ctx context.Context, newSpec *Spec, removed []string, strategy DeletionStrategy) (ApplyStats, error) {
+// paper's deletion propagation generalized to rule deletions).
+func (v *View) RemoveMappings(ctx context.Context, newSpec *Spec, removed []string) (ApplyStats, error) {
 	var stats ApplyStats
 	if err := v.repairIfDirty(ctx, &stats); err != nil {
 		return stats, err
@@ -99,117 +95,61 @@ func (v *View) RemoveMappings(ctx context.Context, newSpec *Spec, removed []stri
 	for _, id := range removed {
 		removedSet[id] = true
 	}
-	var removedInfos []*provenance.MappingInfo
-	for _, mi := range v.infos {
-		if removedSet[mi.ID] && !mi.Transparent {
-			removedInfos = append(removedInfos, mi)
-		}
-	}
 	v.dirty = true
 
-	install := func() error {
+	// Capture the removed derivations' targets before the tables drop,
+	// then let the ordinary cascade decide their fate under the new
+	// program: a target with surviving alternative derivations stays
+	// (subject to the derivability test), the rest cascade away.
+	var suspects []provenance.Ref
+	seen := make(map[provenance.Ref]bool)
+	for _, mi := range v.infos {
+		if !removedSet[mi.ID] || mi.Transparent {
+			continue
+		}
+		pt := v.db.Table(mi.ProvRel)
+		pt.EachRow(func(r value.Row) bool {
+			for i := range mi.Targets {
+				ref := provenance.NewRef(mi.Targets[i].Rel, mi.Targets[i].Instantiate(r.Tuple, v.sk))
+				if !seen[ref] {
+					seen[ref] = true
+					suspects = append(suspects, ref)
+				}
+			}
+			return true
+		})
 		// Dropping a removed mapping's provenance table deletes all of its
 		// derivations wholesale; compile() then rebuilds program, engine,
 		// and graph without the mapping.
-		for _, mi := range removedInfos {
-			if pt := v.db.Table(mi.ProvRel); pt != nil {
-				stats.ProvRowsDeleted += pt.Len()
-			}
-			v.db.Drop(mi.ProvRel)
-		}
-		v.spec = newSpec
-		return v.compile()
+		stats.ProvRowsDeleted += pt.Len()
+		v.db.Drop(mi.ProvRel)
 	}
-
-	switch strategy {
-	case DeleteRecompute:
-		if err := install(); err != nil {
-			return stats, err
-		}
-		es, err := v.FullRecompute(ctx)
-		stats.Engine.Add(es)
-		if err != nil {
-			return stats, err
-		}
-
-	case DeleteDRed:
-		// Over-delete every tuple transitively derived through a removed
-		// mapping (using the old metadata, while the removed provenance
-		// rows are still probeable), then recompile and re-derive.
-		ds := v.newDredState(&stats)
-		for _, mi := range removedInfos {
-			pt := v.db.Table(mi.ProvRel)
-			mi := mi
-			pt.EachRow(func(r value.Row) bool {
-				for i := range mi.Targets {
-					ds.overDelete(provenance.NewRef(mi.Targets[i].Rel, mi.Targets[i].Instantiate(r.Tuple, v.sk)))
-				}
-				return true
-			})
-		}
-		ds.drain()
-		if err := install(); err != nil {
-			return stats, err
-		}
-		v.ev.InvalidateAllTransient()
-		es, err := v.ev.Run(ctx)
-		stats.Engine.Add(es)
-		stats.Rederived += es.Derived
-		if err != nil {
-			return stats, err
-		}
-
-	default: // DeleteProvenance
-		// Capture the removed derivations' targets before the tables drop,
-		// then let the ordinary cascade decide their fate under the new
-		// program: a target with surviving alternative derivations stays
-		// (subject to the derivability test), the rest cascade away.
-		var suspects []provenance.Ref
-		seen := make(map[provenance.Ref]bool)
-		for _, mi := range removedInfos {
-			pt := v.db.Table(mi.ProvRel)
-			mi := mi
-			pt.EachRow(func(r value.Row) bool {
-				for i := range mi.Targets {
-					ref := provenance.NewRef(mi.Targets[i].Rel, mi.Targets[i].Instantiate(r.Tuple, v.sk))
-					if !seen[ref] {
-						seen[ref] = true
-						suspects = append(suspects, ref)
-					}
-				}
-				return true
-			})
-		}
-		if err := install(); err != nil {
-			return stats, err
-		}
-		ds := v.newDeletionState(&stats)
-		for _, ref := range suspects {
-			ds.suspect(ref)
-		}
-		if err := ds.run(ctx); err != nil {
-			return stats, err
-		}
+	v.spec = newSpec
+	if err := v.compile(); err != nil {
+		return stats, err
+	}
+	ds := v.newDeletionState(&stats)
+	for _, ref := range suspects {
+		ds.suspect(ref)
+	}
+	if err := ds.run(ctx); err != nil {
+		return stats, err
 	}
 	v.dirty = false
 	return stats, nil
 }
 
 // ApplyTrust rewires the view onto newSpec — same peers and mappings,
-// changed trust policies — and repairs: provenance rows failing the new
-// effective conditions are revoked through the deletion cascade, and a
-// seeded round over the user mappings re-derives anything the new
-// policies newly accept from data still in the view.
-//
-// Only mapping-level conditions (the paper's Θ over derivations) are
-// repairable this way. Base-level trust — peer distrust and base
-// conditions — filters tuples at *import* time, so both its grants (the
-// distrusted tuples were never stored) and its revocations (a deletion
-// edit nets out of Rℓ instead of becoming a rejection) are
-// history-dependent; callers detect a base-level change with
-// BaseTrustChanged and rebuild the affected peer's view from the
-// publication history instead.
-func (v *View) ApplyTrust(ctx context.Context, newSpec *Spec, strategy DeletionStrategy) (ApplyStats, error) {
+// changed trust policies — and repairs it in place. Every trust verdict
+// is a filter on a populate rule: mapping conditions Θ on the user
+// mappings', and base trust (peer distrust, base conditions) on the
+// (ℓR) rule's, whose source Rℓ keeps every contributed tuple. So
+// provenance rows failing the new filters are revoked through the
+// deletion cascade, and a seeded round over the user mappings and the
+// (ℓR) rules derives what the new policies newly accept. The cost is in
+// the view's current rows, never in the length of the publication
+// history.
+func (v *View) ApplyTrust(ctx context.Context, newSpec *Spec) (ApplyStats, error) {
 	var stats ApplyStats
 	if err := v.repairIfDirty(ctx, &stats); err != nil {
 		return stats, err
@@ -220,82 +160,37 @@ func (v *View) ApplyTrust(ctx context.Context, newSpec *Spec, strategy DeletionS
 		return stats, err
 	}
 
-	if strategy == DeleteRecompute {
-		es, err := v.FullRecompute(ctx)
-		stats.Engine.Add(es)
-		if err != nil {
-			return stats, err
-		}
-		v.dirty = false
-		return stats, nil
-	}
-
-	// Revocation seeds: provenance rows that fail the new conditions.
-	var revoke []provHandle
-	for _, mi := range v.infos {
-		if mi.Transparent {
-			continue
-		}
-		conds := v.effectiveConditions(mi.ID)
-		if len(conds) == 0 {
-			continue
-		}
-		pt := v.db.Table(mi.ProvRel)
-		mi := mi
-		pt.EachRow(func(r value.Row) bool {
-			env := varEnv(mi.Vars, r.Tuple)
-			for _, c := range conds {
-				if !c.Accept.Eval(env) {
-					revoke = append(revoke, provHandle{mi: mi, row: r})
+	// Revocation seeds: provenance rows that fail the new filters.
+	ds := v.newDeletionState(&stats)
+	for _, g := range v.guarded {
+		v.db.Table(g.mi.ProvRel).EachRow(func(r value.Row) bool {
+			env := varEnv(g.mi.Vars, r.Tuple)
+			for _, accept := range g.rule.Filters {
+				if !accept(env) {
+					ds.provDel = append(ds.provDel, provHandle{mi: g.mi, row: r})
 					break
 				}
 			}
 			return true
 		})
 	}
-
-	if strategy == DeleteDRed {
-		ds := v.newDredState(&stats)
-		for _, h := range revoke {
-			pt := v.db.Table(h.mi.ProvRel)
-			if pt.DeleteRow(h.row) {
-				v.ev.InvalidateTransient(h.mi.ProvRel)
-				stats.ProvRowsDeleted++
-				for i := range h.mi.Targets {
-					ds.overDelete(provenance.NewRef(h.mi.Targets[i].Rel, h.mi.Targets[i].Instantiate(h.row.Tuple, v.sk)))
-				}
-			}
-		}
-		ds.drain()
-		// The full re-run both re-derives over-deleted survivors and picks
-		// up anything the new policies newly accept.
-		v.ev.InvalidateAllTransient()
-		es, err := v.ev.Run(ctx)
-		stats.Engine.Add(es)
-		stats.Rederived += es.Derived
-		if err != nil {
-			return stats, err
-		}
-		v.dirty = false
-		return stats, nil
-	}
-
-	ds := v.newDeletionState(&stats)
-	ds.provDel = append(ds.provDel, revoke...)
 	if err := ds.run(ctx); err != nil {
 		return stats, err
 	}
 
-	// Grant side: naive-fire every user mapping's rules once under the new
-	// filters; the emit-time duplicate check drops everything already
-	// present, so only newly trusted derivations materialize and
-	// propagate.
-	userIDs := make(map[string]bool, len(newSpec.Mappings))
+	// Grant side: naive-fire every user mapping's and (ℓR) rule once
+	// under the new filters; the emit-time duplicate check drops
+	// everything already present, so only newly trusted derivations
+	// materialize and propagate.
+	fire := make(map[string]bool, len(newSpec.Mappings))
 	for _, m := range newSpec.Mappings {
-		userIDs[m.ID] = true
+		fire[m.ID] = true
+	}
+	for _, rel := range newSpec.Universe.Relations() {
+		fire[locMapID(rel.Name)] = true
 	}
 	es, err := v.ev.RunRules(ctx, func(ruleID string) bool {
-		return userIDs[mappingRuleBase(ruleID)]
+		return fire[mappingRuleBase(ruleID)]
 	})
 	stats.Engine.Add(es)
 	if err != nil {
@@ -313,30 +208,4 @@ func varEnv(vars []string, row value.Tuple) value.Env {
 		m[v] = row[i]
 	}
 	return value.MapEnv(m)
-}
-
-// BaseTrustChanged reports whether switching a peer's policy from old to
-// new touches its base-level trust — peer distrust or base conditions.
-// Base-level trust filters tuples at *import* time, so any change is
-// history-dependent and the peer's view must be rebuilt from the
-// publication history: a grant cannot resurrect tuples that were never
-// stored, and a revocation cannot reconstruct the rejection rows that
-// deletion edits of now-distrusted tuples would have left behind.
-// Mapping-level conditions never force a replay — ApplyTrust repairs
-// them from the provenance graph.
-func BaseTrustChanged(old, new *Spec, peer string) bool {
-	render := func(p *trust.Policy) string {
-		if p == nil {
-			return ""
-		}
-		var b strings.Builder
-		for _, q := range p.DistrustedPeers() {
-			fmt.Fprintf(&b, "peer %s\n", q)
-		}
-		for _, bc := range p.BaseConditions() {
-			fmt.Fprintf(&b, "base %s when %s\n", bc.Rel, bc.Distrust)
-		}
-		return b.String()
-	}
-	return render(old.Policy(peer)) != render(new.Policy(peer))
 }

@@ -110,6 +110,11 @@ func TestMappingRuleBase(t *testing.T) {
 	}
 }
 
+// TestBaseTrustChanged checks that ApplyTrust repairs a change of
+// base-level trust (peer distrust, base conditions) in place, as it
+// does mapping conditions: for every old→new policy pair, the repaired
+// view equals a fresh view built under the new policy from the same
+// edits.
 func TestBaseTrustChanged(t *testing.T) {
 	full := paperSpec(t, nil)
 	mkPol := func(build func(*trust.Policy)) map[string]*trust.Policy {
@@ -131,6 +136,18 @@ func TestBaseTrustChanged(t *testing.T) {
 		}
 		return p
 	}
+	build := func(sp *Spec) *View {
+		v, err := NewView(sp, "PBioSQL", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, peer := range []string{"PGUS", "PBioSQL", "PuBio"} {
+			if _, err := v.ApplyEdits(context.Background(), example3Logs()[peer], DeleteProvenance); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return v
+	}
 
 	base := withPol(nil)
 	distrust := withPol(mkPol(func(p *trust.Policy) { p.DistrustPeer("PuBio") }))
@@ -143,20 +160,21 @@ func TestBaseTrustChanged(t *testing.T) {
 	cases := []struct {
 		name     string
 		old, new *Spec
-		want     bool
 	}{
-		{"tighten base", base, distrust, true},
-		{"tighten further", distrust, distrustMore, true},
-		{"loosen peer distrust", distrust, base, true},
-		{"loosen one of two", distrustMore, distrust, true},
-		{"same base", distrust, distrust, false},
-		{"mapping conds only", base, mappingOnly, false},
-		{"drop mapping conds", mappingOnly, base, false},
+		{"tighten base", base, distrust},
+		{"tighten further", distrust, distrustMore},
+		{"loosen peer distrust", distrust, base},
+		{"loosen one of two", distrustMore, distrust},
+		{"same base", distrust, distrust},
+		{"mapping conds only", base, mappingOnly},
+		{"drop mapping conds", mappingOnly, base},
 	}
 	for _, c := range cases {
-		if got := BaseTrustChanged(c.old, c.new, "PBioSQL"); got != c.want {
-			t.Errorf("%s: BaseTrustChanged = %v, want %v", c.name, got, c.want)
+		v := build(c.old)
+		if _, err := v.ApplyTrust(context.Background(), c.new); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
+		assertViewsEquivalent(t, c.name, v, build(c.new))
 	}
 }
 
@@ -188,33 +206,32 @@ func TestViewAddMappings(t *testing.T) {
 
 func TestViewRemoveMappings(t *testing.T) {
 	evolveBackends(t, func(t *testing.T, be engine.Backend) {
-		for _, strategy := range []DeletionStrategy{DeleteProvenance, DeleteDRed, DeleteRecompute} {
-			t.Run(strategy.String(), func(t *testing.T) {
-				full := paperSpec(t, nil)
-				reduced := specWithMappings(t, full, "m2", "m3", "m4")
-				opts := Options{Backend: be}
-				v := loadExample3(t, full, opts)
-				if _, err := v.RemoveMappings(context.Background(), reduced, []string{"m1"}, strategy); err != nil {
+		// The view repairs a mapping removal in place from provenance.
+		t.Run(DeleteProvenance.String(), func(t *testing.T) {
+			full := paperSpec(t, nil)
+			reduced := specWithMappings(t, full, "m2", "m3", "m4")
+			opts := Options{Backend: be}
+			v := loadExample3(t, full, opts)
+			if _, err := v.RemoveMappings(context.Background(), reduced, []string{"m1"}); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewView(reduced, "", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, peer := range []string{"PGUS", "PBioSQL", "PuBio"} {
+				if _, err := fresh.ApplyEdits(context.Background(), example3Logs()[peer], DeleteProvenance); err != nil {
 					t.Fatal(err)
 				}
-				fresh, err := NewView(reduced, "", opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, peer := range []string{"PGUS", "PBioSQL", "PuBio"} {
-					if _, err := fresh.ApplyEdits(context.Background(), example3Logs()[peer], DeleteProvenance); err != nil {
-						t.Fatal(err)
-					}
-				}
-				assertViewsEquivalent(t, "remove m1", v, fresh)
+			}
+			assertViewsEquivalent(t, "remove m1", v, fresh)
 
-				// B(3,5) is a base contribution of PBioSQL: it must survive
-				// the removal of m1 even though m1 also derived it.
-				if !v.Instance("B").Contains(MakeTuple(3, 5)) {
-					t.Fatalf("base tuple B(3,5) lost by mapping removal")
-				}
-			})
-		}
+			// B(3,5) is a base contribution of PBioSQL: it must survive
+			// the removal of m1 even though m1 also derived it.
+			if !v.Instance("B").Contains(MakeTuple(3, 5)) {
+				t.Fatalf("base tuple B(3,5) lost by mapping removal")
+			}
+		})
 	})
 }
 
@@ -251,27 +268,22 @@ func TestViewApplyTrust(t *testing.T) {
 			return fv
 		}
 
-		for _, strategy := range []DeletionStrategy{DeleteProvenance, DeleteDRed, DeleteRecompute} {
-			t.Run(strategy.String(), func(t *testing.T) {
-				// Revocation: PBioSQL's view starts trust-all, then distrusts
-				// m1 derivations with n >= 3.
-				v := freshFor(full, "PBioSQL")
-				if _, err := v.ApplyTrust(ctx, restricted, strategy); err != nil {
-					t.Fatal(err)
-				}
-				assertViewsEquivalent(t, "revoke", v, freshFor(restricted, "PBioSQL"))
+		// The view repairs a trust change in place from provenance.
+		t.Run(DeleteProvenance.String(), func(t *testing.T) {
+			// Revocation: PBioSQL's view starts trust-all, then distrusts
+			// m1 derivations with n >= 3.
+			v := freshFor(full, "PBioSQL")
+			if _, err := v.ApplyTrust(ctx, restricted); err != nil {
+				t.Fatal(err)
+			}
+			assertViewsEquivalent(t, "revoke", v, freshFor(restricted, "PBioSQL"))
 
-				// Grant: back to trust-all — mapping-level only, so
-				// repairable in place (BaseTrustChanged must agree).
-				if BaseTrustChanged(restricted, full, "PBioSQL") {
-					t.Fatal("mapping-level loosening should not need a replay")
-				}
-				if _, err := v.ApplyTrust(ctx, full, strategy); err != nil {
-					t.Fatal(err)
-				}
-				assertViewsEquivalent(t, "grant", v, freshFor(full, "PBioSQL"))
-			})
-		}
+			// Grant: back to trust-all.
+			if _, err := v.ApplyTrust(ctx, full); err != nil {
+				t.Fatal(err)
+			}
+			assertViewsEquivalent(t, "grant", v, freshFor(full, "PBioSQL"))
+		})
 	})
 }
 

@@ -136,7 +136,7 @@ func (v *View) FullRecompute(ctx context.Context) (engine.Stats, error) {
 // point.
 func (v *View) ApplyEdits(ctx context.Context, log EditLog, strategy DeletionStrategy) (ApplyStats, error) {
 	neStart := time.Now()
-	dl, dr, err := NetEffect(log, v.db, v.baseTrustFilter())
+	dl, dr, err := NetEffect(log, v.db)
 	neNS := time.Since(neStart).Nanoseconds()
 	if err != nil {
 		return ApplyStats{EditsIn: len(log), NetEffectNS: neNS}, err
@@ -242,7 +242,7 @@ func (v *View) applyBaseChanges(dl, dr storage.DeltaSet, stats *ApplyStats) {
 			}
 		}
 		for _, r := range d.InsRows() {
-			if v.trustsBase(rel, r.Tuple) && lt.InsertRow(r) {
+			if lt.InsertRow(r) {
 				stats.InsL++
 			}
 		}
@@ -270,9 +270,6 @@ func (v *View) insertIncremental(ctx context.Context, dl, dr storage.DeltaSet, s
 	for rel, d := range dl {
 		lt := v.db.Table(LocalRel(rel))
 		for _, r := range d.InsRows() {
-			if !v.trustsBase(rel, r.Tuple) {
-				continue
-			}
 			if lt.InsertRow(r) {
 				stats.InsL++
 				pending[LocalRel(rel)] = append(pending[LocalRel(rel)], r)

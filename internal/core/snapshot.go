@@ -17,13 +17,16 @@ import (
 // snapshot records the Skolem interner (so labeled-null identities
 // survive) followed by every internal table.
 //
-// Format: magic "ORV2", the spec fingerprint as a length-prefixed blob
+// Format: magic "ORV3", the spec fingerprint as a length-prefixed blob
 // (so restores against a different confederation fail loudly instead of
 // resurrecting stale state — see Spec.Fingerprint and internal/evolve),
 // uint32 Skolem count, then per Skolem term in id order: uint32 fn len,
 // fn, uint32 args-key len, canonical args key; then a storage snapshot.
+// An "ORV2" snapshot has the same layout but was taken when Rℓ held only
+// the tuples the owner trusted; a later trust grant could not restore
+// the rest, so it is refused like a snapshot of another spec.
 
-const viewMagic = "ORV2"
+const viewMagic = "ORV3"
 
 // ErrSnapshotSpecMismatch marks a snapshot taken under a different spec
 // than the one it is being restored against. Recovery paths that can
@@ -79,6 +82,10 @@ func RestoreView(spec *Spec, owner string, opts Options, r io.Reader) (*View, er
 	}
 	if string(magic) == "ORCV" {
 		return nil, fmt.Errorf("core: snapshot predates the spec-fingerprint format (magic ORCV); discard it and re-exchange from the publication history")
+	}
+	if string(magic) == "ORV2" {
+		return nil, fmt.Errorf("%w: the snapshot predates storing distrusted local contributions (magic ORV2); re-exchange from the publication history instead of restoring",
+			ErrSnapshotSpecMismatch)
 	}
 	if string(magic) != viewMagic {
 		return nil, fmt.Errorf("core: bad view snapshot magic %q", magic)

@@ -8,6 +8,7 @@ import (
 	"orchestra/internal/engine"
 	"orchestra/internal/obs"
 	"orchestra/internal/provenance"
+	"orchestra/internal/schema"
 	"orchestra/internal/storage"
 	"orchestra/internal/tgd"
 	"orchestra/internal/trust"
@@ -60,6 +61,10 @@ type View struct {
 
 	infos []*provenance.MappingInfo
 	graph *provenance.Graph
+	// guarded lists the populate rules carrying trust filters, with the
+	// mapping whose provenance rows they produce; ApplyTrust re-checks
+	// those rows against the filters.
+	guarded []guardedRule
 
 	// derivability-test scratch engine, built lazily (§4.1.3).
 	chkDB *storage.Database
@@ -102,6 +107,11 @@ type mappingSource struct {
 type mappingTarget struct {
 	mi  *provenance.MappingInfo
 	idx int // which target template
+}
+
+type guardedRule struct {
+	mi   *provenance.MappingInfo
+	rule *datalog.Rule
 }
 
 // NewView instantiates a view of the CDSS for the given owner peer (or ""
@@ -152,6 +162,7 @@ func (v *View) compile() error {
 	spec, opts := v.spec, v.opts
 	v.prog = datalog.NewProgram()
 	v.infos = nil
+	v.guarded = nil
 	v.bySourceRel = make(map[string][]mappingSource)
 	v.byTargetRel = make(map[string][]mappingTarget)
 	v.dropScratchTables()
@@ -201,20 +212,23 @@ func (v *View) compile() error {
 			if err != nil {
 				return err
 			}
-			v.registerMapping(mi)
+			v.registerMapping(mi, enc.Populate)
 		}
 	}
 
 	// Internal bookkeeping mappings per relation (§3.1, §3.3):
 	//   (tR) Rᵒ(x̄) :- Rⁱ(x̄), ¬Rr(x̄)   [input, minus rejections]
-	//   (ℓR) Rᵒ(x̄) :- Rℓ(x̄)            [local contributions]
+	//   (ℓR) Rᵒ(x̄) :- Rℓ(x̄)            [local contributions, if trusted]
+	// Rℓ holds every contributed tuple; the owner's base trust is a
+	// filter on (ℓR), so a trust change is repaired like a mapping
+	// condition change instead of depending on what was imported.
 	for _, rel := range spec.Universe.Relations() {
 		k := rel.Arity()
 		args := make([]datalog.Term, k)
 		for i := range args {
 			args[i] = datalog.V(fmt.Sprintf("c%d", i))
 		}
-		add := func(mapID, srcRel string, extraNeg string) error {
+		add := func(mapID, srcRel string, extraNeg string, filter datalog.Filter) error {
 			pRel := provRelOf(mapID)
 			if err := v.ensureTable(pRel, k); err != nil {
 				return err
@@ -223,17 +237,21 @@ func (v *View) compile() error {
 			if extraNeg != "" {
 				body = append(body, datalog.Neg(datalog.NewAtom(extraNeg, args...)))
 			}
-			v.prog.Add(datalog.NewRule(mapID+"'", datalog.NewAtom(pRel, args...), body...))
+			populate := datalog.NewRule(mapID+"'", datalog.NewAtom(pRel, args...), body...)
+			if filter != nil {
+				populate.AddFilter(v.owner+" trusts base "+rel.Name, filter)
+			}
+			v.prog.Add(populate)
 			v.prog.Add(datalog.NewRule(mapID+"''",
 				datalog.NewAtom(OutputRel(rel.Name), args...),
 				datalog.Pos(datalog.NewAtom(pRel, args...))))
-			v.registerMapping(provenance.InternalMapping(mapID, pRel, srcRel, OutputRel(rel.Name), k))
+			v.registerMapping(provenance.InternalMapping(mapID, pRel, srcRel, OutputRel(rel.Name), k), populate)
 			return nil
 		}
-		if err := add(insMapID(rel.Name), InputRel(rel.Name), RejectRel(rel.Name)); err != nil {
+		if err := add(insMapID(rel.Name), InputRel(rel.Name), RejectRel(rel.Name), nil); err != nil {
 			return err
 		}
-		if err := add(locMapID(rel.Name), LocalRel(rel.Name), ""); err != nil {
+		if err := add(locMapID(rel.Name), LocalRel(rel.Name), "", v.baseTrustFilter(rel)); err != nil {
 			return err
 		}
 	}
@@ -270,8 +288,11 @@ func (v *View) dropScratchTables() {
 	}
 }
 
-func (v *View) registerMapping(mi *provenance.MappingInfo) {
+func (v *View) registerMapping(mi *provenance.MappingInfo, populate *datalog.Rule) {
 	v.infos = append(v.infos, mi)
+	if len(populate.Filters) > 0 {
+		v.guarded = append(v.guarded, guardedRule{mi: mi, rule: populate})
+	}
 	for i, s := range mi.Sources {
 		v.bySourceRel[s.Rel] = append(v.bySourceRel[s.Rel], mappingSource{mi, i})
 	}
@@ -304,37 +325,34 @@ func (v *View) effectiveConditions(mapID string) []*trust.Condition {
 	return out
 }
 
-// baseTrustFilter returns the owner's base-trust predicate for
-// NetEffect's membership simulation, or nil when the owner trusts every
-// base tuple (the global view, or a peer without a policy) so the
-// simulation can skip per-tuple policy evaluation.
-func (v *View) baseTrustFilter() func(string, value.Tuple) bool {
-	if v.owner == "" || v.spec.Policy(v.owner) == nil {
+// baseTrustFilter returns the owner's base-trust verdict (§3.3) on
+// tuples of rel as a filter over the (ℓR) rule's variables c0…ck-1, or
+// nil when the owner's policy cannot distrust any tuple of rel: the
+// global view, the owner's own relations, and relations of a trusted
+// peer without base conditions stay unfiltered.
+func (v *View) baseTrustFilter(rel *schema.Relation) datalog.Filter {
+	pol := v.spec.Policy(v.owner)
+	if pol == nil || rel.Peer == v.owner {
 		return nil
 	}
-	return v.trustsBase
-}
-
-// trustsBase reports whether the view owner trusts a base tuple of a user
-// relation (token-level trust, §3.3). Untrusted base tuples are never
-// imported into the view.
-func (v *View) trustsBase(rel string, t value.Tuple) bool {
-	if v.owner == "" {
-		return true
+	conditioned := pol.DistrustsPeer(rel.Peer)
+	for _, bc := range pol.BaseConditions() {
+		conditioned = conditioned || bc.Rel == rel.Name
 	}
-	pol := v.spec.Policy(v.owner)
-	if pol == nil {
-		return true
+	if !conditioned {
+		return nil
 	}
-	relMeta := v.spec.Universe.Relation(rel)
-	if relMeta == nil {
-		return false
+	vars := make([]string, rel.Arity())
+	for i := range vars {
+		vars[i] = fmt.Sprintf("c%d", i)
 	}
-	cols := make(map[string]value.Value, len(relMeta.Cols))
-	for i, c := range relMeta.Cols {
-		cols[c.Name] = t[i]
+	return func(env value.Env) bool {
+		cols := make(map[string]value.Value, len(rel.Cols))
+		for i, c := range rel.Cols {
+			cols[c.Name], _ = env.Lookup(vars[i])
+		}
+		return pol.TrustsBase(rel.Name, rel.Peer, cols)
 	}
-	return pol.TrustsBase(rel, relMeta.Peer, cols)
 }
 
 // Spec returns the CDSS description the view was built from.
