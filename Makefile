@@ -16,12 +16,13 @@ test:
 vet:
 	$(GO) vet ./...
 
-# lint is the full static gate: the toolchain's bundled vet passes
+# lint is the full static gate: gofmt, the toolchain's bundled vet passes
 # (copylocks, lostcancel, printf, ...) plus the repo's own invariant
 # suite (see DESIGN.md "Enforced invariants") through the same vet
 # driver. Suppress a finding only with a reasoned directive:
 #   //orchestralint:ignore <analyzer> <why this site is exempt>
 lint: bin/orchestralint
+	@if [ -n "$$(gofmt -l .)" ]; then gofmt -l .; echo "lint: files above need gofmt"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) vet -vettool=bin/orchestralint ./...
 	@# Deleted surface must not grow back: the pre-shard bus, the
@@ -29,10 +30,11 @@ lint: bin/orchestralint
 	@# old benchmark-snapshot gate (bench/ is the one benchmark), the
 	@# second orchestrator (orchestra.System is the one), and the
 	@# test-only provenance wrappers and §4.1.3 inverse program (the
-	@# inverse program is a test oracle in internal/core), and the
-	@# history replay of base-trust changes (base trust is a filter on
-	@# the (ℓR) rule, repaired in place by ApplyTrust).
-	@if grep -rnE 'FetchSince|CursorFromTotal|AdaptBus|LegacyBus|"/since"|WithBackend|WithDeletionStrategy|WithMaxIterations|WithSplitProvTables|WithExchangeCoalescing|CompareBenchReports|RunBenchCases|LoadBenchReport|\bWithParallelism\b|NewCDSS|RestoreInto|TrustEval|RankTrust|DerivationCounts|SupportDeclarative|InverseProgram|replayViewLocked|BaseTrustChanged|trustsBase' \
+	@# inverse program is a test oracle in internal/core), the history
+	@# replay of base-trust changes (base trust is a filter on the (ℓR)
+	@# rule), and the per-operation evolution methods and op switch
+	@# (View.Evolve makes one repair per diff).
+	@if grep -rnE 'FetchSince|CursorFromTotal|AdaptBus|LegacyBus|"/since"|WithBackend|WithDeletionStrategy|WithMaxIterations|WithSplitProvTables|WithExchangeCoalescing|CompareBenchReports|RunBenchCases|LoadBenchReport|\bWithParallelism\b|NewCDSS|RestoreInto|TrustEval|RankTrust|DerivationCounts|SupportDeclarative|InverseProgram|replayViewLocked|BaseTrustChanged|trustsBase|\b(Recompile|AddMappings|RemoveMappings|ApplyTrust|applyOpLocked)\(' \
 		--include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . ; then \
 		echo "lint: removed surface reappeared (see above)"; exit 1; fi
 

@@ -11,33 +11,29 @@ import (
 )
 
 // Live confederation evolution: a running System's spec can be changed
-// in place — peers joined, mappings added and removed, trust policies
-// replaced — without tearing the System down and re-exchanging from
-// publication zero. Each operation validates the evolved spec
-// (well-formedness, ownership, weak acyclicity), recompiles every
-// materialized view's mapping program, and incrementally repairs the
-// materialized state:
-//
-//   - AddPeer only extends the schema; existing state is untouched.
-//   - AddMapping runs a semi-naive round seeded with just the new
-//     mapping's rules, so cost scales with its derivations.
-//   - RemoveMapping and trust revocation are the paper's
-//     provenance-driven deletion generalized from tuple deletions to
-//     rule deletions: exactly the tuples whose every derivation uses a
-//     removed (or newly untrusted) mapping or base tuple are deleted.
-//   - Trust grants run a semi-naive round seeded with the populate
-//     rules the new policy may newly accept. Base-level trust (peer
-//     distrust, base conditions) is a filter on the rule that feeds a
-//     relation's local contributions into its instance, and every view
-//     stores every contribution, so no trust change reads the bus.
+// in place — peers joined, mappings added, removed or redefined, trust
+// policies replaced — without tearing the System down and re-exchanging
+// from publication zero. Every change, a single operation or a whole
+// diff, is validated in full (well-formedness, ownership, weak
+// acyclicity at every intermediate spec) before anything changes, and
+// then each materialized view makes one repair from the old spec to the
+// final one (core.View.Evolve): the paper's provenance-driven deletion,
+// generalized from tuple deletions to rule deletions, removes exactly
+// the tuples whose every derivation uses a removed or newly untrusted
+// mapping or base tuple, and one semi-naive round seeded with the new
+// and changed rules derives what the new spec newly produces. Base-level
+// trust (peer distrust, base conditions) is a filter on the rule that
+// feeds a relation's local contributions into its instance, and every
+// view stores every contribution, so no evolution reads the bus.
 //
 // Evolution is exclusive: it locks the whole System (no exchanges,
 // queries, or checkpoints run concurrently) and, under WithPersistence,
 // finishes by re-stamping the state directory's spec fingerprint and
 // checkpointing every view, so a restart recovers under the evolved
 // spec. The invariants of DESIGN.md hold throughout: view cursors never
-// move (a fortiori never past the bus horizon), and SpecGeneration
-// increases by one per applied operation.
+// move (a fortiori never past the bus horizon), a diff that fails
+// validation changes nothing, and SpecGeneration increases by the number
+// of operations of each applied diff.
 
 // AddPeer registers a new peer and its relations on the running system.
 // decl uses the spec-file syntax after the "peer" keyword, e.g.
@@ -93,26 +89,33 @@ func (s *System) SetTrust(ctx context.Context, peer string, pol *TrustPolicy) er
 }
 
 // ApplyDiff applies a whole spec-diff (see ParseSpecDiff and the
-// orchestra CLI's evolve subcommand) as one exclusive evolution: the
-// operations validate and repair in order, and persistence checkpoints
-// once at the end.
+// orchestra CLI's evolve subcommand) as one exclusive evolution: every
+// operation validates first, so a diff rejected at any operation changes
+// nothing; then each view repairs once to the final spec, and
+// persistence checkpoints once at the end.
 func (s *System) ApplyDiff(ctx context.Context, d *SpecDiff) error {
 	return s.applyOps(ctx, d.Ops)
 }
 
 // applyOps is the one evolution entry point: it locks the whole System,
-// folds the operations over the spec — validating each intermediate
-// spec and repairing every materialized view — and re-checkpoints the
-// state directory under the new spec fingerprint.
+// validates the whole diff, installs the final spec, repairs every
+// materialized view once, and re-checkpoints the state directory under
+// the new spec fingerprint. The new spec installs before the views
+// repair: a view whose repair fails is left dirty and recovers by full
+// recomputation from its base tables, which evolution never corrupts.
 func (s *System) applyOps(ctx context.Context, ops []evolve.Op) error {
 	if len(ops) == 0 {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	newSpec, err := evolve.Apply(s.spec, &evolve.Diff{Ops: ops})
+	if err != nil {
+		return fmt.Errorf("orchestra: %w", err)
+	}
 
 	// Lock every materialized view for the whole evolution, in sorted
-	// owner order; operations observe and repair a quiescent system.
+	// owner order; the repairs observe a quiescent system.
 	owners := make([]string, 0, len(s.views))
 	for owner := range s.views {
 		owners = append(owners, owner)
@@ -129,10 +132,17 @@ func (s *System) applyOps(ctx context.Context, ops []evolve.Op) error {
 		}
 	}()
 
-	for i, op := range ops {
-		if err := s.applyOpLocked(ctx, op, owners, handles); err != nil {
-			return fmt.Errorf("orchestra: evolution op %d (%s): %w", i+1, op.Kind, err)
+	s.spec = newSpec
+	s.specGen += len(ops)
+	var firstErr error
+	for i, h := range handles {
+		//orchestralint:ignore locksafe evolution is deliberately stop-the-world; no reader may see the new spec before every view is repaired to it
+		if _, err := h.view.Evolve(ctx, newSpec); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("orchestra: repairing view %q: %w", owners[i], err)
 		}
+	}
+	if firstErr != nil {
+		return firstErr
 	}
 
 	// Re-stamp and re-checkpoint so a restart recovers under the evolved
@@ -149,36 +159,4 @@ func (s *System) applyOps(ctx context.Context, ops []evolve.Op) error {
 		}
 	}
 	return nil
-}
-
-// applyOpLocked applies one operation under the System's exclusive lock.
-// The new spec is installed before the views repair: a view whose repair
-// fails is left dirty and recovers by full recomputation from its base
-// tables, which evolution never corrupts.
-func (s *System) applyOpLocked(ctx context.Context, op evolve.Op, owners []string, handles []*viewHandle) error {
-	newSpec, err := evolve.ApplyOp(s.spec, op)
-	if err != nil {
-		return err
-	}
-	s.spec = newSpec
-	s.specGen++
-
-	var firstErr error
-	for i, h := range handles {
-		var verr error
-		switch op.Kind {
-		case evolve.OpAddPeer:
-			verr = h.view.Recompile(ctx, newSpec)
-		case evolve.OpAddMapping:
-			_, verr = h.view.AddMappings(ctx, newSpec, []string{op.Mapping.ID})
-		case evolve.OpRemoveMapping:
-			_, verr = h.view.RemoveMappings(ctx, newSpec, []string{op.MappingID})
-		case evolve.OpSetTrust, evolve.OpTrustDirective:
-			_, verr = h.view.ApplyTrust(ctx, newSpec)
-		}
-		if verr != nil && firstErr == nil {
-			firstErr = fmt.Errorf("repairing view %q: %w", owners[i], verr)
-		}
-	}
-	return firstErr
 }

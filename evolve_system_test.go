@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"orchestra/internal/engine"
+	"orchestra/internal/evolve"
 	"orchestra/internal/provenance"
 	"orchestra/internal/statestore"
 )
@@ -412,22 +413,59 @@ func runEvolveScenario(t *testing.T, be engine.Backend, seed int64) {
 			}
 		}
 	}
+	// Evolution operations collect over a shadow spec, each validated
+	// the way ApplyDiff will validate it (a rejected candidate is
+	// skipped), and reach the System as one multi-op diff: flushed before
+	// every non-evolution step, at random, and before the settle.
+	shadow := sys.Spec()
+	var pending []SpecOp
+	queue := func(op SpecOp) bool {
+		next, err := evolve.ApplyOp(shadow, op)
+		if err != nil && strings.Contains(err.Error(), "weakly acyclic") {
+			return false // candidate rejected by validation
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		shadow = next
+		pending = append(pending, op)
+		return true
+	}
+	flush := func() {
+		if len(pending) == 0 {
+			return
+		}
+		gen := sys.SpecGeneration()
+		if err := sys.ApplyDiff(ctx, &SpecDiff{Ops: pending}); err != nil {
+			t.Fatalf("ApplyDiff(%q): %v", RenderSpecDiff(&SpecDiff{Ops: pending}), err)
+		}
+		if got := sys.SpecGeneration(); got != gen+len(pending) {
+			t.Fatalf("spec generation %d after a %d-op diff from %d", got, len(pending), gen)
+		}
+		pending = nil
+	}
+	peerNames := func() []string {
+		var out []string
+		for _, p := range shadow.Universe.Peers() {
+			out = append(out, p.Name)
+		}
+		return out
+	}
+
 	addPeer := func() {
 		nextID++
 		rel := fmt.Sprintf("Z%d", nextID)
-		decl := fmt.Sprintf("PZ%d { relation %s(a int, b int) }", nextID, rel)
-		if err := sys.AddPeer(ctx, decl); err != nil {
-			t.Fatal(err)
-		}
+		queue(mustParseDiffOp(t, fmt.Sprintf("add peer PZ%d { relation %s(a int, b int) }", nextID, rel)))
 		addedRels = append(addedRels, rel)
 	}
-	addMapping := func() {
-		u := sys.Spec().Universe
-		rels := u.Relations()
+	// addMappingAs queues a random mapping between two peers' relations
+	// under the given id, reporting whether validation accepted it.
+	addMappingAs := func(id string) bool {
+		rels := shadow.Universe.Relations()
 		src := rels[rng.Intn(len(rels))]
 		dst := rels[rng.Intn(len(rels))]
 		if src.Peer == dst.Peer {
-			return
+			return false
 		}
 		srcVars := make([]string, src.Arity())
 		for i := range srcVars {
@@ -443,39 +481,36 @@ func runEvolveScenario(t *testing.T, be engine.Backend, seed int64) {
 				exist = append(exist, dstArgs[i])
 			}
 		}
-		nextID++
-		decl := fmt.Sprintf("x%d: %s(%s) -> ", nextID, src.Name, strings.Join(srcVars, ","))
+		decl := fmt.Sprintf("add mapping %s: %s(%s) -> ", id, src.Name, strings.Join(srcVars, ","))
 		if len(exist) > 0 {
 			decl += "exists " + strings.Join(exist, ",") + " . "
 		}
 		decl += fmt.Sprintf("%s(%s)", dst.Name, strings.Join(dstArgs, ","))
-		err := sys.AddMapping(ctx, decl)
-		if err != nil && strings.Contains(err.Error(), "weakly acyclic") {
-			return // candidate rejected by validation; spec unchanged
-		}
-		if err != nil {
-			t.Fatalf("AddMapping(%q): %v", decl, err)
-		}
+		return queue(mustParseDiffOp(t, decl))
+	}
+	addMapping := func() {
+		nextID++
+		addMappingAs(fmt.Sprintf("x%d", nextID))
 	}
 	removeMapping := func() {
-		ms := sys.Spec().Mappings
+		ms := shadow.Mappings
 		if len(ms) <= 1 {
 			return
 		}
-		if err := sys.RemoveMapping(ctx, ms[rng.Intn(len(ms))].ID); err != nil {
-			t.Fatal(err)
+		id := ms[rng.Intn(len(ms))].ID
+		queue(SpecOp{Kind: evolve.OpRemoveMapping, MappingID: id})
+		if rng.Intn(2) == 0 {
+			addMappingAs(id) // a new body under the same id
 		}
 	}
 	setTrust := func() {
-		peers := sys.Peers()
+		peers := peerNames()
 		peer := peers[rng.Intn(len(peers))]
 		switch rng.Intn(4) {
 		case 0: // clear
-			if err := sys.SetTrust(ctx, peer, nil); err != nil {
-				t.Fatal(err)
-			}
+			queue(SpecOp{Kind: evolve.OpSetTrust, TrustPeer: peer})
 		case 1: // mapping-level condition
-			ms := sys.Spec().Mappings
+			ms := shadow.Mappings
 			if len(ms) == 0 {
 				return
 			}
@@ -490,9 +525,7 @@ func runEvolveScenario(t *testing.T, be engine.Backend, seed int64) {
 			}
 			pol := NewTrustPolicy(peer)
 			pol.DistrustMapping(m.ID, pred)
-			if err := sys.SetTrust(ctx, peer, pol); err != nil {
-				t.Fatal(err)
-			}
+			queue(SpecOp{Kind: evolve.OpSetTrust, TrustPeer: peer, Policy: pol})
 		case 2: // base-level peer distrust
 			other := peers[rng.Intn(len(peers))]
 			if other == peer {
@@ -500,12 +533,10 @@ func runEvolveScenario(t *testing.T, be engine.Backend, seed int64) {
 			}
 			pol := NewTrustPolicy(peer)
 			pol.DistrustPeer(other)
-			if err := sys.SetTrust(ctx, peer, pol); err != nil {
-				t.Fatal(err)
-			}
+			queue(SpecOp{Kind: evolve.OpSetTrust, TrustPeer: peer, Policy: pol})
 		default: // base condition on another peer's relation
 			var rels []string
-			for _, r := range sys.Spec().Universe.Relations() {
+			for _, r := range shadow.Universe.Relations() {
 				if r.Peer != peer {
 					rels = append(rels, r.Name)
 				}
@@ -513,7 +544,7 @@ func runEvolveScenario(t *testing.T, be engine.Backend, seed int64) {
 			if len(rels) == 0 {
 				return
 			}
-			rel := sys.Spec().Universe.Relation(rels[rng.Intn(len(rels))])
+			rel := shadow.Universe.Relation(rels[rng.Intn(len(rels))])
 			col := rel.Cols[rng.Intn(len(rel.Cols))].Name
 			var k int64
 			switch col {
@@ -530,9 +561,7 @@ func runEvolveScenario(t *testing.T, be engine.Backend, seed int64) {
 			}
 			pol := NewTrustPolicy(peer)
 			pol.DistrustBase(rel.Name, pred)
-			if err := sys.SetTrust(ctx, peer, pol); err != nil {
-				t.Fatal(err)
-			}
+			queue(SpecOp{Kind: evolve.OpSetTrust, TrustPeer: peer, Policy: pol})
 		}
 	}
 
@@ -540,10 +569,13 @@ func runEvolveScenario(t *testing.T, be engine.Backend, seed int64) {
 	for i := 0; i < steps; i++ {
 		switch rng.Intn(8) {
 		case 0, 1:
+			flush()
 			publish()
 		case 2:
+			flush()
 			publishAdded()
 		case 3, 4:
+			flush()
 			exchangeSome()
 		case 5:
 			addMapping()
@@ -556,7 +588,11 @@ func runEvolveScenario(t *testing.T, be engine.Backend, seed int64) {
 		default:
 			setTrust()
 		}
+		if rng.Intn(3) == 0 {
+			flush()
+		}
 	}
+	flush()
 
 	// Settle: everyone catches up under the final spec.
 	for _, p := range sys.Peers() {
@@ -696,6 +732,80 @@ mapping m1: G(i,c,n) -> B(i,n)
 	// m1 derived B(1,3); m2 derived B(3,null).
 	if len(rows) != 2 {
 		t.Fatalf("recovered instance B = %v, want 2 rows", rows)
+	}
+}
+
+// TestFailedDiffChangesNothing checks that a diff rejected at any
+// operation is rejected whole: an earlier valid operation of the same
+// diff must not repair the views, bump the generation, or re-stamp the
+// state directory.
+func TestFailedDiffChangesNothing(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	specText := `
+peer PGUS { relation G(id int, can int, nam int) }
+peer PBioSQL { relation B(id int, nam int) }
+mapping m1: G(i,c,n) -> B(i,n)
+`
+	open := func() *System {
+		t.Helper()
+		f, err := ParseSpecString(specText)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := New(f.Spec, WithPersistence(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	instanceB := func(sys *System) []Tuple {
+		t.Helper()
+		rows, err := sys.Instance("", "B")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+
+	sys := open()
+	if err := sys.Publish(ctx, "PGUS", EditLog{Ins("G", MakeTuple(1, 2, 3))}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Exchange(ctx, ""); err != nil {
+		t.Fatal(err)
+	}
+	before := instanceB(sys)
+	if len(before) != 1 {
+		t.Fatalf("B = %v, want m1's derivation", before)
+	}
+
+	d, err := ParseSpecDiffString("remove mapping m1\nremove mapping nope\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.ApplyDiff(ctx, d); err == nil {
+		t.Fatal("diff removing an unknown mapping applied")
+	}
+	if gen := sys.SpecGeneration(); gen != 0 {
+		t.Errorf("failed diff bumped the spec generation to %d", gen)
+	}
+	if after := instanceB(sys); len(after) != len(before) {
+		t.Errorf("failed diff changed B: %v, want %v", after, before)
+	}
+	// A checkpoint stamps every view with the System's current spec.
+	if err := sys.Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The state directory still belongs to the original spec.
+	reopened := open()
+	defer reopened.Close()
+	if got := instanceB(reopened); len(got) != len(before) {
+		t.Errorf("reopened B = %v, want %v", got, before)
 	}
 }
 

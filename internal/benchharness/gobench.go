@@ -287,9 +287,7 @@ func GoBenches() []GoBench {
 		type evolveSetup struct {
 			w       *workload.Workload
 			logs    map[string]core.EditLog
-			full    *core.Spec
 			reduced *core.Spec
-			removed string
 			view    *core.View // loaded under the full spec
 		}
 		setup := func(b *testing.B) *evolveSetup {
@@ -319,14 +317,14 @@ func GoBenches() []GoBench {
 					b.Fatal(err)
 				}
 			}
-			return &evolveSetup{w: w, logs: logs, full: full, reduced: reduced, removed: removed, view: v}
+			return &evolveSetup{w: w, logs: logs, reduced: reduced, view: v}
 		}
 		out = append(out, GoBench{Fig: 0, Name: "EvolveVsRebuild/incremental", Sub: "incremental", Run: func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				s := setup(b)
 				b.StartTimer()
-				if _, err := s.view.RemoveMappings(context.Background(), s.reduced, []string{s.removed}); err != nil {
+				if _, err := s.view.Evolve(context.Background(), s.reduced); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -110,11 +110,13 @@ func TestMappingRuleBase(t *testing.T) {
 	}
 }
 
-// TestBaseTrustChanged checks that ApplyTrust repairs a change of
+// TestBaseTrustChanged checks that Evolve repairs a change of
 // base-level trust (peer distrust, base conditions) in place, as it
 // does mapping conditions: for every old→new policy pair, the repaired
 // view equals a fresh view built under the new policy from the same
-// edits.
+// edits. The condition-bound pairs pin that the (ℓR) filter's
+// description carries the condition itself: with a content-free name
+// the rule text would not change and the repair would do nothing.
 func TestBaseTrustChanged(t *testing.T) {
 	full := paperSpec(t, nil)
 	mkPol := func(build func(*trust.Policy)) map[string]*trust.Policy {
@@ -156,6 +158,8 @@ func TestBaseTrustChanged(t *testing.T) {
 		p.DistrustBase("G", pred("id >= 3"))
 	}))
 	mappingOnly := withPol(mkPol(func(p *trust.Policy) { p.DistrustMapping("m1", pred("n >= 3")) }))
+	baseFrom3 := withPol(mkPol(func(p *trust.Policy) { p.DistrustBase("G", pred("id >= 3")) }))
+	baseFrom1 := withPol(mkPol(func(p *trust.Policy) { p.DistrustBase("G", pred("id >= 1")) }))
 
 	cases := []struct {
 		name     string
@@ -168,10 +172,12 @@ func TestBaseTrustChanged(t *testing.T) {
 		{"same base", distrust, distrust},
 		{"mapping conds only", base, mappingOnly},
 		{"drop mapping conds", mappingOnly, base},
+		{"widen base condition", baseFrom3, baseFrom1},
+		{"narrow base condition", baseFrom1, baseFrom3},
 	}
 	for _, c := range cases {
 		v := build(c.old)
-		if _, err := v.ApplyTrust(context.Background(), c.new); err != nil {
+		if _, err := v.Evolve(context.Background(), c.new); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		assertViewsEquivalent(t, c.name, v, build(c.new))
@@ -195,7 +201,7 @@ func TestViewAddMappings(t *testing.T) {
 		}
 
 		// Evolve: add m3 (it has an existential, exercising Skolems).
-		if _, err := v.AddMappings(context.Background(), full, []string{"m3"}); err != nil {
+		if _, err := v.Evolve(context.Background(), full); err != nil {
 			t.Fatal(err)
 		}
 
@@ -212,7 +218,7 @@ func TestViewRemoveMappings(t *testing.T) {
 			reduced := specWithMappings(t, full, "m2", "m3", "m4")
 			opts := Options{Backend: be}
 			v := loadExample3(t, full, opts)
-			if _, err := v.RemoveMappings(context.Background(), reduced, []string{"m1"}); err != nil {
+			if _, err := v.Evolve(context.Background(), reduced); err != nil {
 				t.Fatal(err)
 			}
 			fresh, err := NewView(reduced, "", opts)
@@ -273,13 +279,13 @@ func TestViewApplyTrust(t *testing.T) {
 			// Revocation: PBioSQL's view starts trust-all, then distrusts
 			// m1 derivations with n >= 3.
 			v := freshFor(full, "PBioSQL")
-			if _, err := v.ApplyTrust(ctx, restricted); err != nil {
+			if _, err := v.Evolve(ctx, restricted); err != nil {
 				t.Fatal(err)
 			}
 			assertViewsEquivalent(t, "revoke", v, freshFor(restricted, "PBioSQL"))
 
 			// Grant: back to trust-all.
-			if _, err := v.ApplyTrust(ctx, full); err != nil {
+			if _, err := v.Evolve(ctx, full); err != nil {
 				t.Fatal(err)
 			}
 			assertViewsEquivalent(t, "grant", v, freshFor(full, "PBioSQL"))
@@ -313,7 +319,7 @@ func TestViewRecompileAddsPeer(t *testing.T) {
 	}
 
 	before := tableDump(v)
-	if err := v.Recompile(context.Background(), withPeer); err != nil {
+	if _, err := v.Evolve(context.Background(), withPeer); err != nil {
 		t.Fatal(err)
 	}
 	after := tableDump(v)
@@ -332,11 +338,66 @@ func TestViewRecompileAddsPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.AddMappings(context.Background(), fullPlus, []string{"m5"}); err != nil {
+	if _, err := v.Evolve(context.Background(), fullPlus); err != nil {
 		t.Fatal(err)
 	}
 	if got := v.Instance("W").Len(); got == 0 {
 		t.Fatal("mapping onto the new peer derived nothing")
+	}
+}
+
+// TestViewRedefineMapping checks a mapping whose body changes under the
+// same id, here with a provenance table of a different arity: the old
+// derivations go as in a removal, the new body derives as in an
+// addition, and the view ends equal to a fresh one.
+func TestViewRedefineMapping(t *testing.T) {
+	evolveBackends(t, func(t *testing.T, be engine.Backend) {
+		full := paperSpec(t, nil)
+		ms := append([]*tgd.TGD(nil), full.Mappings...)
+		ms[0] = tgd.MustParse("m1: U(n,c) -> B(c,n)")
+		redefined, err := NewSpec(full.Universe, ms, full.Policies)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Backend: be}
+		v := loadExample3(t, full, opts)
+		if _, err := v.Evolve(context.Background(), redefined); err != nil {
+			t.Fatal(err)
+		}
+		assertViewsEquivalent(t, "redefine m1", v, loadExample3(t, redefined, opts))
+	})
+}
+
+// TestViewEvolveNoop checks that evolving onto a spec equal to the
+// current one — the same spec, or one reached by adding and then
+// removing a mapping — repairs nothing: no rule fires, no provenance row
+// is deleted, and every table is unchanged.
+func TestViewEvolveNoop(t *testing.T) {
+	full := paperSpec(t, nil)
+	withM5, err := NewSpec(full.Universe, append(append([]*tgd.TGD(nil), full.Mappings...), tgd.MustParse("m5: U(n,c) -> B(c,n)")), full.Policies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundTrip := specWithMappings(t, withM5, "m1", "m2", "m3", "m4")
+	for _, c := range []struct {
+		name string
+		sp   *Spec
+	}{{"unchanged", full}, {"add then remove", roundTrip}} {
+		v := loadExample3(t, full, Options{})
+		before := tableDump(v)
+		stats, err := v.Evolve(context.Background(), c.sp)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if stats.Engine.RuleFires != 0 || stats.ProvRowsDeleted != 0 {
+			t.Errorf("%s: %d rule fires, %d provenance rows deleted; want none", c.name, stats.Engine.RuleFires, stats.ProvRowsDeleted)
+		}
+		after := tableDump(v)
+		for name, rows := range before {
+			if after[name] != rows {
+				t.Errorf("%s: table %q changed", c.name, name)
+			}
+		}
 	}
 }
 

@@ -62,8 +62,8 @@ type View struct {
 	infos []*provenance.MappingInfo
 	graph *provenance.Graph
 	// guarded lists the populate rules carrying trust filters, with the
-	// mapping whose provenance rows they produce; ApplyTrust re-checks
-	// those rows against the filters.
+	// mapping whose provenance rows they produce; Evolve re-checks the
+	// rows of a changed one against its new filters.
 	guarded []guardedRule
 
 	// derivability-test scratch engine, built lazily (§4.1.3).
@@ -228,7 +228,7 @@ func (v *View) compile() error {
 		for i := range args {
 			args[i] = datalog.V(fmt.Sprintf("c%d", i))
 		}
-		add := func(mapID, srcRel string, extraNeg string, filter datalog.Filter) error {
+		add := func(mapID, srcRel, extraNeg, filterDesc string, filter datalog.Filter) error {
 			pRel := provRelOf(mapID)
 			if err := v.ensureTable(pRel, k); err != nil {
 				return err
@@ -239,7 +239,7 @@ func (v *View) compile() error {
 			}
 			populate := datalog.NewRule(mapID+"'", datalog.NewAtom(pRel, args...), body...)
 			if filter != nil {
-				populate.AddFilter(v.owner+" trusts base "+rel.Name, filter)
+				populate.AddFilter(filterDesc, filter)
 			}
 			v.prog.Add(populate)
 			v.prog.Add(datalog.NewRule(mapID+"''",
@@ -248,10 +248,11 @@ func (v *View) compile() error {
 			v.registerMapping(provenance.InternalMapping(mapID, pRel, srcRel, OutputRel(rel.Name), k), populate)
 			return nil
 		}
-		if err := add(insMapID(rel.Name), InputRel(rel.Name), RejectRel(rel.Name), nil); err != nil {
+		if err := add(insMapID(rel.Name), InputRel(rel.Name), RejectRel(rel.Name), "", nil); err != nil {
 			return err
 		}
-		if err := add(locMapID(rel.Name), LocalRel(rel.Name), "", v.baseTrustFilter(rel)); err != nil {
+		desc, filter := v.baseTrustFilter(rel)
+		if err := add(locMapID(rel.Name), LocalRel(rel.Name), "", desc, filter); err != nil {
 			return err
 		}
 	}
@@ -326,27 +327,34 @@ func (v *View) effectiveConditions(mapID string) []*trust.Condition {
 }
 
 // baseTrustFilter returns the owner's base-trust verdict (§3.3) on
-// tuples of rel as a filter over the (ℓR) rule's variables c0…ck-1, or
-// nil when the owner's policy cannot distrust any tuple of rel: the
-// global view, the owner's own relations, and relations of a trusted
-// peer without base conditions stay unfiltered.
-func (v *View) baseTrustFilter(rel *schema.Relation) datalog.Filter {
+// tuples of rel as a filter over the (ℓR) rule's variables c0…ck-1, with
+// a description of everything the verdict depends on, so the rule's text
+// changes whenever the verdict does. The filter is nil when the owner's
+// policy cannot distrust any tuple of rel: the global view, the owner's
+// own relations, and relations of a trusted peer without base
+// conditions stay unfiltered.
+func (v *View) baseTrustFilter(rel *schema.Relation) (string, datalog.Filter) {
 	pol := v.spec.Policy(v.owner)
 	if pol == nil || rel.Peer == v.owner {
-		return nil
+		return "", nil
 	}
-	conditioned := pol.DistrustsPeer(rel.Peer)
+	var verdict []string
+	if pol.DistrustsPeer(rel.Peer) {
+		verdict = append(verdict, "distrusts peer "+rel.Peer)
+	}
 	for _, bc := range pol.BaseConditions() {
-		conditioned = conditioned || bc.Rel == rel.Name
+		if bc.Rel == rel.Name {
+			verdict = append(verdict, "distrusts base "+bc.Rel+" when "+bc.Distrust.String())
+		}
 	}
-	if !conditioned {
-		return nil
+	if len(verdict) == 0 {
+		return "", nil
 	}
 	vars := make([]string, rel.Arity())
 	for i := range vars {
 		vars[i] = fmt.Sprintf("c%d", i)
 	}
-	return func(env value.Env) bool {
+	return v.owner + " " + strings.Join(verdict, "; "), func(env value.Env) bool {
 		cols := make(map[string]value.Value, len(rel.Cols))
 		for i, c := range rel.Cols {
 			cols[c.Name], _ = env.Lookup(vars[i])

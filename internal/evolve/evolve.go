@@ -8,10 +8,12 @@
 //
 // The package is purely about specs. The state-repair half — rewiring
 // live views onto the new spec and incrementally fixing their
-// materialized instances and provenance — lives in internal/core
-// (View.AddMappings / RemoveMappings / ApplyTrust / Recompile) and is
-// orchestrated by the public facade (System.AddPeer, System.AddMapping,
-// System.RemoveMapping, System.SetTrust, System.ApplyDiff).
+// materialized instances and provenance — is one method in
+// internal/core, View.Evolve, which repairs a view from the old spec to
+// the final spec of a whole diff whatever its operations are. The public
+// facade (System.AddPeer, System.AddMapping, System.RemoveMapping,
+// System.SetTrust, System.ApplyDiff) validates a diff with Apply and
+// then calls View.Evolve once per view.
 package evolve
 
 import (
@@ -28,18 +30,20 @@ import (
 	"orchestra/internal/trust"
 )
 
-// OpKind enumerates the spec-evolution operations.
+// OpKind enumerates the spec-evolution operations. A kind says how the
+// spec changes, not how views repair: the repair is the same for every
+// kind (core.View.Evolve compares the compiled programs before and
+// after).
 type OpKind uint8
 
 const (
-	// OpAddPeer registers a new peer and its relations. Existing state is
-	// unaffected (the new tables start empty), so no repair is needed.
+	// OpAddPeer registers a new peer and its relations; the new tables
+	// start empty.
 	OpAddPeer OpKind = iota
-	// OpAddMapping appends a schema mapping; views repair by a semi-naive
-	// round seeded with the new mapping's rules.
+	// OpAddMapping appends a schema mapping under a fresh id.
 	OpAddMapping
-	// OpRemoveMapping deletes a mapping by id; views repair by
-	// provenance-driven deletion generalized to rule deletions.
+	// OpRemoveMapping deletes a mapping by id. A diff may add a new
+	// mapping under the same id afterwards.
 	OpRemoveMapping
 	// OpSetTrust replaces one peer's entire trust policy (nil = trust
 	// everything, the paper's default Θ).

@@ -217,8 +217,8 @@ func TestSetTrustRenderRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	pol := trust.NewPolicy("PBioSQL")
-	pol.TrustMapping("", pred)       // wildcard any-mapping condition
-	pol.DistrustMapping("m1", pred)  // conditional distrust
+	pol.TrustMapping("", pred)        // wildcard any-mapping condition
+	pol.DistrustMapping("m1", pred)   // conditional distrust
 	pol.DistrustMapping("m3", nil2()) // whole-mapping distrust (trivial pred)
 	pol.DistrustPeer("PuBio")
 	pol.DistrustBase("B", pred)

@@ -35,7 +35,7 @@ var Blocking = map[string]string{
 	// View compilation (PR 5 moved it outside the System lock).
 	"orchestra/internal/core.NewView":              "compiles the whole mapping program",
 	"orchestra/internal/core.RestoreView":          "decodes and recompiles a full view",
-	"(orchestra/internal/core.View).Recompile":     "recompiles the mapping program in place",
+	"(orchestra/internal/core.View).Evolve":        "recompiles the mapping program and repairs the view in place",
 	"(orchestra/internal/core.View).compile":       "compiles the whole mapping program",
 	"(orchestra/internal/core.View).Repair":        "runs maintenance fixpoints",
 	"(orchestra/internal/core.View).FullRecompute": "recomputes the instance from scratch",

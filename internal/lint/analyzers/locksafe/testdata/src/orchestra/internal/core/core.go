@@ -8,4 +8,4 @@ type View struct{}
 
 func NewView(spec *Spec, owner string) (*View, error) { return &View{}, nil }
 
-func (v *View) Recompile(spec *Spec) error { return nil }
+func (v *View) Evolve(spec *Spec) error { return nil }

@@ -30,10 +30,10 @@ func (s *System) compileUnderLock(owner string) error {
 	return nil
 }
 
-func (s *System) recompileUnderLock(owner string) error {
+func (s *System) evolveUnderLock(owner string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.views[owner].Recompile(s.spec) // want "Recompile .* called while s.mu"
+	return s.views[owner].Evolve(s.spec) // want "Evolve .* called while s.mu"
 }
 
 func (s *System) sleepUnderLock() {
