@@ -70,8 +70,9 @@ func (v *View) Evolve(ctx context.Context, newSpec *Spec) (ApplyStats, error) {
 	// cascade decide their fate under the new program: a target with
 	// surviving alternative derivations stays (subject to the
 	// derivability test), the rest cascade away.
-	var suspects []provenance.Ref
+	var suspects []tupleNode
 	seen := make(map[provenance.Ref]bool)
+	var scratch provenance.Scratch
 	for _, mi := range v.infos {
 		if mi.Transparent {
 			continue
@@ -82,10 +83,10 @@ func (v *View) Evolve(ctx context.Context, newSpec *Spec) (ApplyStats, error) {
 		pt := v.db.Table(mi.ProvRel)
 		pt.EachRow(func(r value.Row) bool {
 			for i := range mi.Targets {
-				ref := provenance.NewRef(mi.Targets[i].Rel, mi.Targets[i].Instantiate(r.Tuple, v.sk))
-				if !seen[ref] {
+				t := mi.Targets[i].Instantiate(nil, r.Tuple, v.sk, &scratch)
+				if ref := provenance.NewRef(mi.Targets[i].Rel, t); !seen[ref] {
 					seen[ref] = true
-					suspects = append(suspects, ref)
+					suspects = append(suspects, tupleNode{ref, t})
 				}
 			}
 			return true
@@ -108,8 +109,8 @@ func (v *View) Evolve(ctx context.Context, newSpec *Spec) (ApplyStats, error) {
 	}
 
 	ds := v.newDeletionState(&stats)
-	for _, ref := range suspects {
-		ds.suspect(ref)
+	for _, n := range suspects {
+		ds.suspect(n.ref.Rel, n.t)
 	}
 	// Revocation seeds: rows of changed filtered rules that fail the new
 	// filters.

@@ -368,10 +368,73 @@ func TestViewRedefineMapping(t *testing.T) {
 	})
 }
 
+// evolveCounted evolves v onto sp and fails unless the repair compiled
+// the program exactly once and ran at most one deletion cascade.
+func evolveCounted(t *testing.T, label string, v *View, sp *Spec) ApplyStats {
+	t.Helper()
+	compiles, cascades := v.compiles, v.cascades
+	stats, err := v.Evolve(context.Background(), sp)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if got := v.compiles - compiles; got != 1 {
+		t.Errorf("%s: %d compiles, want 1", label, got)
+	}
+	if got := v.cascades - cascades; got > 1 {
+		t.Errorf("%s: %d deletion cascades, want at most 1", label, got)
+	}
+	return stats
+}
+
+// TestViewEvolveMultiOp checks that a spec change of several ops — a
+// removed mapping, a redefined one, an added one and a trust change —
+// is one repair: one compile, at most one cascade, and a view equal to
+// a fresh one of the final spec.
+func TestViewEvolveMultiOp(t *testing.T) {
+	evolveBackends(t, func(t *testing.T, be engine.Backend) {
+		full := paperSpec(t, nil)
+		cond, err := trust.ParsePred("n >= 3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol := trust.NewPolicy("PBioSQL")
+		pol.DistrustMapping("m4", cond)
+		final, err := NewSpec(full.Universe, []*tgd.TGD{
+			tgd.MustParse("m2: G(i,c,n) -> U(n,i)"),
+			full.Mappings[2],
+			full.Mappings[3],
+			tgd.MustParse("m5: U(n,c) -> B(c,n)"),
+		}, map[string]*trust.Policy{"PBioSQL": pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Backend: be}
+		load := func(sp *Spec) *View {
+			v, err := NewView(sp, "PBioSQL", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, peer := range []string{"PGUS", "PBioSQL", "PuBio"} {
+				if _, err := v.ApplyEdits(context.Background(), example3Logs()[peer], DeleteProvenance); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return v
+		}
+		v := load(full)
+		stats := evolveCounted(t, "multi-op", v, final)
+		if stats.ProvRowsDeleted == 0 || stats.Engine.RuleFires == 0 {
+			t.Errorf("multi-op: %d provenance rows deleted, %d rule fires; want both", stats.ProvRowsDeleted, stats.Engine.RuleFires)
+		}
+		assertViewsEquivalent(t, "multi-op", v, load(final))
+	})
+}
+
 // TestViewEvolveNoop checks that evolving onto a spec equal to the
 // current one — the same spec, or one reached by adding and then
 // removing a mapping — repairs nothing: no rule fires, no provenance row
-// is deleted, and every table is unchanged.
+// is deleted, every table is unchanged, and the program is compiled
+// once.
 func TestViewEvolveNoop(t *testing.T) {
 	full := paperSpec(t, nil)
 	withM5, err := NewSpec(full.Universe, append(append([]*tgd.TGD(nil), full.Mappings...), tgd.MustParse("m5: U(n,c) -> B(c,n)")), full.Policies)
@@ -385,10 +448,7 @@ func TestViewEvolveNoop(t *testing.T) {
 	}{{"unchanged", full}, {"add then remove", roundTrip}} {
 		v := loadExample3(t, full, Options{})
 		before := tableDump(v)
-		stats, err := v.Evolve(context.Background(), c.sp)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
+		stats := evolveCounted(t, c.name, v, c.sp)
 		if stats.Engine.RuleFires != 0 || stats.ProvRowsDeleted != 0 {
 			t.Errorf("%s: %d rule fires, %d provenance rows deleted; want none", c.name, stats.Engine.RuleFires, stats.ProvRowsDeleted)
 		}

@@ -23,7 +23,11 @@ func TestSupportDeclarativeMatchesProcedural(t *testing.T) {
 	}
 	for _, ts := range targets {
 		declarative := supportDeclarative(t, v, ts)
-		procedural := v.supportOf(ts)
+		nodes := make([]tupleNode, len(ts))
+		for i, ref := range ts {
+			nodes[i] = tupleNode{ref, ref.Tuple()}
+		}
+		procedural := v.supportOf(nodes)
 		if len(declarative) != len(procedural) {
 			t.Fatalf("targets %v: declarative %v vs procedural %v", ts, declarative, procedural)
 		}

@@ -311,74 +311,88 @@ type provHandle struct {
 	row value.Row
 }
 
+// tupleNode is a tuple node of the provenance graph in flight: its ref
+// together with the tuple the ref's key encodes. The cascade carries
+// both, so no stage decodes a key that an earlier stage encoded.
+type tupleNode struct {
+	ref provenance.Ref
+	t   value.Tuple
+}
+
 // deletionState is one provenance-driven deletion cascade in flight: the
-// worklists, the tuples already deleted, and the suspects pending a
-// derivability test. Edit-driven deletion (deleteProvenance) seeds it
-// from base changes; spec evolution (evolve.go) seeds it from whole
-// removed mappings or newly-untrusted provenance rows — the same cascade
-// and derivability loop repair the view either way.
+// worklists and the suspects pending a derivability test. Nothing
+// inserts while a cascade runs, so a tuple absent from its table is one
+// already deleted; no separate set records them. Edit-driven deletion
+// (deleteProvenance) seeds it from base changes; spec evolution
+// (evolve.go) seeds it from whole removed mappings or newly-untrusted
+// provenance rows — the same cascade and derivability loop repair the
+// view either way.
 type deletionState struct {
 	v     *View
 	stats *ApplyStats
 	// work holds tuples deleted and pending their source-cascade; provDel
 	// holds provenance rows pending deletion.
-	work    []provenance.Ref
+	work    []tupleNode
 	provDel []provHandle
-	deleted map[provenance.Ref]bool
-	rchk    map[provenance.Ref]bool
+	// rchk holds the suspects pending the derivability test, with their
+	// tuples.
+	rchk map[provenance.Ref]value.Tuple
+	// inst and scratch hold the target being instantiated and its Skolem
+	// terms.
+	inst    value.Tuple
+	scratch provenance.Scratch
 }
 
 func (v *View) newDeletionState(stats *ApplyStats) *deletionState {
+	v.cascades++
 	return &deletionState{
-		v:       v,
-		stats:   stats,
-		deleted: make(map[provenance.Ref]bool),
-		rchk:    make(map[provenance.Ref]bool),
+		v:     v,
+		stats: stats,
+		rchk:  make(map[provenance.Ref]value.Tuple),
 	}
 }
 
 // deleteTuple removes ref's tuple (if still present) and queues the
-// source-cascade.
+// source-cascade with the stored tuple.
 func (d *deletionState) deleteTuple(ref provenance.Ref) {
-	if d.deleted[ref] {
-		return
-	}
 	tbl := d.v.db.Table(ref.Rel)
 	if tbl == nil {
 		return
 	}
-	if _, ok := tbl.DeleteKey(ref.Key); !ok {
+	t, ok := tbl.DeleteKey(ref.Key)
+	if !ok {
 		return
 	}
 	d.v.ev.InvalidateTransient(ref.Rel)
-	d.deleted[ref] = true
 	delete(d.rchk, ref)
 	d.stats.TuplesDeleted++
-	d.work = append(d.work, ref)
+	d.work = append(d.work, tupleNode{ref, t})
 }
 
-// suspect handles a tuple that just lost one derivation: tuples with no
-// remaining provenance rows are deleted outright; the rest queue for the
-// derivability test.
-func (d *deletionState) suspect(ref provenance.Ref) {
-	if d.deleted[ref] {
+// suspect handles a tuple t of rel that just lost one derivation: tuples
+// with no remaining provenance rows are deleted outright; the rest queue
+// for the derivability test. t may be the caller's buffer: a queued
+// suspect keeps a copy.
+func (d *deletionState) suspect(rel string, t value.Tuple) {
+	if tbl := d.v.db.Table(rel); tbl == nil || !tbl.Contains(t) {
 		return
 	}
-	if !d.v.hasSupport(ref) {
+	ref := provenance.NewRef(rel, t)
+	if !d.v.hasSupport(rel, t) {
 		d.deleteTuple(ref)
 	} else {
-		d.rchk[ref] = true
+		d.rchk[ref] = t.Clone()
 	}
 }
 
 // cascade drains the two worklists: provenance-row deletions update
 // target support; tuple deletions invalidate provenance rows that use
-// them as sources.
+// them as sources. Each pass refills the slice the previous pass
+// drained, so a long cascade reuses two backing arrays.
 func (d *deletionState) cascade() {
 	v := d.v
 	for len(d.work) > 0 || len(d.provDel) > 0 {
 		rows := d.provDel
-		d.provDel = nil
 		for _, h := range rows {
 			pt := v.db.Table(h.mi.ProvRel)
 			if pt == nil || !pt.DeleteRow(h.row) {
@@ -387,14 +401,16 @@ func (d *deletionState) cascade() {
 			v.ev.InvalidateTransient(h.mi.ProvRel)
 			d.stats.ProvRowsDeleted++
 			for i := range h.mi.Targets {
-				d.suspect(provenance.NewRef(h.mi.Targets[i].Rel, h.mi.Targets[i].Instantiate(h.row.Tuple, v.sk)))
+				d.inst = h.mi.Targets[i].Instantiate(d.inst, h.row.Tuple, v.sk, &d.scratch)
+				d.suspect(h.mi.Targets[i].Rel, d.inst)
 			}
 		}
+		d.provDel = rows[:0]
 		tuples := d.work
-		d.work = nil
-		for _, ref := range tuples {
-			d.provDel = append(d.provDel, v.rowsUsingSource(ref)...)
+		for _, n := range tuples {
+			d.provDel = v.rowsUsingSource(n, d.provDel)
 		}
+		d.work = tuples[:0]
 	}
 }
 
@@ -406,13 +422,13 @@ func (d *deletionState) run(ctx context.Context) error {
 	v := d.v
 	d.cascade()
 	for len(d.rchk) > 0 {
-		var pending []provenance.Ref
-		for ref := range d.rchk {
-			if !d.deleted[ref] && v.db.Table(ref.Rel).ContainsKey(ref.Key) {
-				pending = append(pending, ref)
+		var pending []tupleNode
+		for ref, t := range d.rchk {
+			if v.db.Table(ref.Rel).ContainsKey(ref.Key) {
+				pending = append(pending, tupleNode{ref, t})
 			}
 		}
-		d.rchk = make(map[provenance.Ref]bool)
+		d.rchk = make(map[provenance.Ref]value.Tuple)
 		if len(pending) == 0 {
 			break
 		}
@@ -422,15 +438,15 @@ func (d *deletionState) run(ctx context.Context) error {
 			return err
 		}
 		changed := false
-		for _, ref := range pending {
-			if alive[ref] {
+		for _, n := range pending {
+			if alive[n.ref] {
 				d.stats.Rederived++
 				continue
 			}
 			// Not derivable from the EDB: remove the tuple and the cyclic
 			// provenance rows still deriving it.
-			d.provDel = append(d.provDel, v.rowsDeriving(ref)...)
-			d.deleteTuple(ref)
+			d.provDel = v.rowsDeriving(n, d.provDel)
+			d.deleteTuple(n.ref)
 			changed = true
 		}
 		if !changed {
@@ -457,9 +473,7 @@ func (v *View) deleteProvenance(ctx context.Context, dl, dr storage.DeltaSet, st
 			if lt.DeleteRow(r) {
 				stats.DelL++
 				v.ev.InvalidateTransient(LocalRel(rel))
-				ref := provenance.RowRef(LocalRel(rel), r)
-				ds.deleted[ref] = true
-				ds.work = append(ds.work, ref)
+				ds.work = append(ds.work, tupleNode{provenance.RowRef(LocalRel(rel), r), r.Tuple})
 			}
 		}
 	}
@@ -492,40 +506,39 @@ func (v *View) mappingInfo(id string) *provenance.MappingInfo {
 	panic(fmt.Sprintf("core: unknown mapping %q", id))
 }
 
-// rowsUsingSource returns handles of live provenance rows with ref among
-// their sources, via an indexed probe on the provenance table.
-func (v *View) rowsUsingSource(ref provenance.Ref) []provHandle {
-	var out []provHandle
-	t := ref.Tuple()
-	for _, ms := range v.bySourceRel[ref.Rel] {
-		tmpl := &ms.mi.Sources[ms.idx]
-		v.probeTemplate(ms.mi, tmpl, t, func(row value.Row) {
+// rowsUsingSource appends to out handles of live provenance rows with n
+// among their sources, via an indexed probe on the provenance table.
+func (v *View) rowsUsingSource(n tupleNode, out []provHandle) []provHandle {
+	for _, ms := range v.bySourceRel[n.ref.Rel] {
+		v.probeTemplate(ms.mi, &ms.mi.Sources[ms.idx], n.t, func(row value.Row) bool {
 			out = append(out, provHandle{mi: ms.mi, row: row})
+			return true
 		})
 	}
 	return out
 }
 
-// rowsDeriving returns handles of live provenance rows with ref among
-// their targets.
-func (v *View) rowsDeriving(ref provenance.Ref) []provHandle {
-	var out []provHandle
-	t := ref.Tuple()
-	for _, mt := range v.byTargetRel[ref.Rel] {
-		tmpl := &mt.mi.Targets[mt.idx]
-		v.probeTemplate(mt.mi, tmpl, t, func(row value.Row) {
+// rowsDeriving appends to out handles of live provenance rows with n
+// among their targets.
+func (v *View) rowsDeriving(n tupleNode, out []provHandle) []provHandle {
+	for _, mt := range v.byTargetRel[n.ref.Rel] {
+		v.probeTemplate(mt.mi, &mt.mi.Targets[mt.idx], n.t, func(row value.Row) bool {
 			out = append(out, provHandle{mi: mt.mi, row: row})
+			return true
 		})
 	}
 	return out
 }
 
-// hasSupport reports whether any live provenance row still derives ref.
-func (v *View) hasSupport(ref provenance.Ref) bool {
-	t := ref.Tuple()
-	for _, mt := range v.byTargetRel[ref.Rel] {
-		found := false
-		v.probeTemplate(mt.mi, &mt.mi.Targets[mt.idx], t, func(value.Row) { found = true })
+// hasSupport reports whether any live provenance row still derives the
+// tuple t of relation rel.
+func (v *View) hasSupport(rel string, t value.Tuple) bool {
+	found := false
+	for _, mt := range v.byTargetRel[rel] {
+		v.probeTemplate(mt.mi, &mt.mi.Targets[mt.idx], t, func(value.Row) bool {
+			found = true
+			return false
+		})
 		if found {
 			return true
 		}
@@ -534,18 +547,15 @@ func (v *View) hasSupport(ref provenance.Ref) bool {
 }
 
 // probeTemplate finds provenance rows of mi whose template instantiation
-// equals want, probing a secondary index on the first directly-copied
-// column when possible. Matching rows are handed to fn keyed; fn must not
-// retain the bucket slice beyond the call (rows themselves are immutable
-// and safe to keep).
-func (v *View) probeTemplate(mi *provenance.MappingInfo, tmpl *provenance.AtomTemplate, want value.Tuple, fn func(value.Row)) {
+// equals want (AtomTemplate.Matches: no row is instantiated), probing a
+// secondary index on the first directly-copied column when possible.
+// Matching rows are handed to fn keyed until fn returns false; fn must
+// not retain the bucket slice beyond the call (rows themselves are
+// immutable and safe to keep).
+func (v *View) probeTemplate(mi *provenance.MappingInfo, tmpl *provenance.AtomTemplate, want value.Tuple, fn func(value.Row) bool) {
 	pt := v.db.Table(mi.ProvRel)
 	if pt.Len() == 0 {
 		return
-	}
-	matches := func(row value.Tuple) bool {
-		got := tmpl.Instantiate(row, v.sk)
-		return got.Equal(want)
 	}
 	probeCol := -1
 	var probeVal value.Value
@@ -560,17 +570,14 @@ func (v *View) probeTemplate(mi *provenance.MappingInfo, tmpl *provenance.AtomTe
 		pt.EnsureIndex(probeCol)
 		rows, _ := pt.ProbeRows(probeCol, probeVal)
 		for _, row := range rows {
-			if matches(row.Tuple) {
-				fn(row)
+			if tmpl.Matches(row.Tuple, want, v.sk) && !fn(row) {
+				return
 			}
 		}
 		return
 	}
 	pt.EachRow(func(row value.Row) bool {
-		if matches(row.Tuple) {
-			fn(row)
-		}
-		return true
+		return !tmpl.Matches(row.Tuple, want, v.sk) || fn(row)
 	})
 }
 
@@ -582,7 +589,7 @@ func (v *View) probeTemplate(mi *provenance.MappingInfo, tmpl *provenance.AtomTe
 // re-run the (trust-filtered) mapping program forward on a scratch
 // database seeded with exactly that support, and report which suspects
 // reappear.
-func (v *View) derivable(ctx context.Context, refs []provenance.Ref, stats *ApplyStats) (map[provenance.Ref]bool, error) {
+func (v *View) derivable(ctx context.Context, nodes []tupleNode, stats *ApplyStats) (map[provenance.Ref]bool, error) {
 	if err := v.ensureChk(); err != nil {
 		return nil, err
 	}
@@ -596,9 +603,9 @@ func (v *View) derivable(ctx context.Context, refs []provenance.Ref, stats *Appl
 	// found goal-directedly via indexed probes — this is the "majority of
 	// its computation while only using the keys of tuples" property §6.3
 	// credits for beating DRed.
-	support := v.supportOf(refs)
-	for ref := range support {
-		v.chkDB.Table(ref.Rel).InsertRow(value.KeyedRow(ref.Tuple(), ref.Key))
+	support := v.supportOf(nodes)
+	for ref, t := range support {
+		v.chkDB.Table(ref.Rel).InsertRow(value.KeyedRow(t, ref.Key))
 	}
 	// Rejections still apply during re-derivation.
 	for _, rel := range v.spec.Universe.Relations() {
@@ -615,10 +622,10 @@ func (v *View) derivable(ctx context.Context, refs []provenance.Ref, stats *Appl
 	if err != nil {
 		return nil, err
 	}
-	alive := make(map[provenance.Ref]bool, len(refs))
-	for _, ref := range refs {
-		if tbl := v.chkDB.Table(ref.Rel); tbl != nil && tbl.ContainsKey(ref.Key) {
-			alive[ref] = true
+	alive := make(map[provenance.Ref]bool, len(nodes))
+	for _, n := range nodes {
+		if tbl := v.chkDB.Table(n.ref.Rel); tbl != nil && tbl.ContainsKey(n.ref.Key) {
+			alive[n.ref] = true
 		}
 	}
 	return alive, nil
@@ -631,16 +638,16 @@ func (v *View) derivable(ctx context.Context, refs []provenance.Ref, stats *Appl
 // transiently inside deletion propagation; after any maintenance
 // operation completes, presence and derivability coincide.
 func (v *View) Derivability(ctx context.Context, rel string, t value.Tuple) (bool, []provenance.Ref, error) {
-	ref := provenance.NewRef(OutputRel(rel), t)
+	n := []tupleNode{{provenance.NewRef(OutputRel(rel), t), t}}
 	var stats ApplyStats
 	if err := v.repairIfDirty(ctx, &stats); err != nil {
 		return false, nil, err
 	}
-	alive, err := v.derivable(ctx, []provenance.Ref{ref}, &stats)
+	alive, err := v.derivable(ctx, n, &stats)
 	if err != nil {
 		return false, nil, err
 	}
-	support := v.supportOf([]provenance.Ref{ref})
+	support := v.supportOf(n)
 	refs := make([]provenance.Ref, 0, len(support))
 	for r := range support {
 		refs = append(refs, r)
@@ -651,37 +658,43 @@ func (v *View) Derivability(ctx context.Context, rel string, t value.Tuple) (boo
 		}
 		return refs[i].Key < refs[j].Key
 	})
-	return alive[ref], refs, nil
+	return alive[n[0].ref], refs, nil
 }
 
 // supportOf walks the provenance graph backward from the targets to the
 // base tuples supporting them, using indexed probes on the provenance
 // tables (goal-directed, unlike provenance.Graph.Support which scans).
-func (v *View) supportOf(targets []provenance.Ref) map[provenance.Ref]bool {
-	support := make(map[provenance.Ref]bool)
+// It returns each supporting base tuple by ref.
+func (v *View) supportOf(targets []tupleNode) map[provenance.Ref]value.Tuple {
+	support := make(map[provenance.Ref]value.Tuple)
 	visited := make(map[provenance.Ref]bool)
-	stack := make([]provenance.Ref, 0, len(targets))
-	for _, t := range targets {
-		if !visited[t] {
-			visited[t] = true
-			stack = append(stack, t)
+	stack := make([]tupleNode, 0, len(targets))
+	for _, n := range targets {
+		if !visited[n.ref] {
+			visited[n.ref] = true
+			stack = append(stack, n)
 		}
 	}
+	var derivs []provHandle
+	var inst value.Tuple
+	var s provenance.Scratch
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if v.graph.IsBase(cur) {
-			if tbl := v.db.Table(cur.Rel); tbl != nil && tbl.ContainsKey(cur.Key) {
-				support[cur] = true
+		if v.graph.IsBase(cur.ref) {
+			if tbl := v.db.Table(cur.ref.Rel); tbl != nil && tbl.ContainsKey(cur.ref.Key) {
+				support[cur.ref] = cur.t
 			}
 			continue
 		}
-		for _, h := range v.rowsDeriving(cur) {
+		derivs = v.rowsDeriving(cur, derivs[:0])
+		for _, h := range derivs {
 			for i := range h.mi.Sources {
-				src := provenance.NewRef(h.mi.Sources[i].Rel, h.mi.Sources[i].Instantiate(h.row.Tuple, v.sk))
-				if !visited[src] {
-					visited[src] = true
-					stack = append(stack, src)
+				src := &h.mi.Sources[i]
+				inst = src.Instantiate(inst, h.row.Tuple, v.sk, &s)
+				if ref := provenance.NewRef(src.Rel, inst); !visited[ref] {
+					visited[ref] = true
+					stack = append(stack, tupleNode{ref, inst.Clone()})
 				}
 			}
 		}
@@ -722,39 +735,33 @@ func (v *View) ensureChk() error {
 type dredState struct {
 	v       *View
 	stats   *ApplyStats
-	work    []provenance.Ref
+	work    []tupleNode
 	provDel []provHandle
-	deleted map[provenance.Ref]bool
-}
-
-func (v *View) newDredState(stats *ApplyStats) *dredState {
-	return &dredState{v: v, stats: stats, deleted: make(map[provenance.Ref]bool)}
+	inst    value.Tuple
+	scratch provenance.Scratch
 }
 
 // overDelete removes ref's tuple pessimistically — even if other
 // derivations exist; re-derivation restores it.
 func (d *dredState) overDelete(ref provenance.Ref) {
-	if d.deleted[ref] {
-		return
-	}
 	tbl := d.v.db.Table(ref.Rel)
 	if tbl == nil {
 		return
 	}
-	if _, ok := tbl.DeleteKey(ref.Key); !ok {
+	t, ok := tbl.DeleteKey(ref.Key)
+	if !ok {
 		return
 	}
-	d.deleted[ref] = true
 	d.stats.TuplesDeleted++
-	d.work = append(d.work, ref)
+	d.work = append(d.work, tupleNode{ref, t})
 }
 
-// drain runs the over-deletion cascade to exhaustion.
+// drain runs the over-deletion cascade to exhaustion, with the worklist
+// reuse of deletionState.cascade.
 func (d *dredState) drain() {
 	v := d.v
 	for len(d.work) > 0 || len(d.provDel) > 0 {
 		rows := d.provDel
-		d.provDel = nil
 		for _, h := range rows {
 			pt := v.db.Table(h.mi.ProvRel)
 			if pt == nil || !pt.DeleteRow(h.row) {
@@ -762,14 +769,16 @@ func (d *dredState) drain() {
 			}
 			d.stats.ProvRowsDeleted++
 			for i := range h.mi.Targets {
-				d.overDelete(provenance.NewRef(h.mi.Targets[i].Rel, h.mi.Targets[i].Instantiate(h.row.Tuple, v.sk)))
+				d.inst = h.mi.Targets[i].Instantiate(d.inst, h.row.Tuple, v.sk, &d.scratch)
+				d.overDelete(provenance.NewRef(h.mi.Targets[i].Rel, d.inst))
 			}
 		}
+		d.provDel = rows[:0]
 		tuples := d.work
-		d.work = nil
-		for _, ref := range tuples {
-			d.provDel = append(d.provDel, v.rowsUsingSource(ref)...)
+		for _, n := range tuples {
+			d.provDel = v.rowsUsingSource(n, d.provDel)
 		}
+		d.work = tuples[:0]
 	}
 }
 
@@ -779,16 +788,14 @@ func (d *dredState) drain() {
 // re-derive survivors — re-insertion being the expensive step the paper
 // measures against.
 func (v *View) deleteDRed(ctx context.Context, dl, dr storage.DeltaSet, stats *ApplyStats) error {
-	ds := v.newDredState(stats)
+	ds := &dredState{v: v, stats: stats}
 
 	for rel, d := range dl {
 		lt := v.db.Table(LocalRel(rel))
 		for _, r := range d.DelRows() {
 			if lt.DeleteRow(r) {
 				stats.DelL++
-				ref := provenance.RowRef(LocalRel(rel), r)
-				ds.deleted[ref] = true
-				ds.work = append(ds.work, ref)
+				ds.work = append(ds.work, tupleNode{provenance.RowRef(LocalRel(rel), r), r.Tuple})
 			}
 		}
 	}

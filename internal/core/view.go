@@ -84,6 +84,10 @@ type View struct {
 	// relation, for support checks.
 	byTargetRel map[string][]mappingTarget
 
+	// compiles and cascades count compile() runs and deletion cascades
+	// over the view's life, so tests can pin what one repair costs.
+	compiles, cascades int
+
 	// skMark is the interner length at the last TrackChanges: the
 	// labeled nulls past it belong in the next change record.
 	skMark int
@@ -159,6 +163,7 @@ func (v *View) ensureTable(name string, arity int) error {
 // lazily-built derivability engine and query workspaces are discarded —
 // they are rebuilt against the new program on first use.
 func (v *View) compile() error {
+	v.compiles++
 	spec, opts := v.spec, v.opts
 	v.prog = datalog.NewProgram()
 	v.infos = nil
@@ -273,6 +278,7 @@ func (v *View) compile() error {
 		if len(rel) > 2 && rel[len(rel)-2] == '$' {
 			rel = rel[:len(rel)-2]
 		}
+		//orchestralint:ignore rowintern rendering a token for display is off the maintenance path; only its text is needed
 		return rel + r.Tuple().String()
 	})
 	return nil

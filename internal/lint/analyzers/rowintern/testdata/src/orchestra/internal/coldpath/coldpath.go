@@ -2,8 +2,15 @@
 // however they like.
 package coldpath
 
-import "orchestra/internal/value"
+import (
+	"orchestra/internal/provenance"
+	"orchestra/internal/value"
+)
 
 func adHoc(tup value.Tuple) value.Row {
 	return value.Row{Tuple: tup, Key: tup.Key()}
+}
+
+func render(ref provenance.Ref) string {
+	return ref.Rel + ref.Tuple()[0]
 }

@@ -2,7 +2,10 @@
 // hot-path package.
 package storage
 
-import "orchestra/internal/value"
+import (
+	"orchestra/internal/provenance"
+	"orchestra/internal/value"
+)
 
 func adHoc(tup value.Tuple) value.Row {
 	return value.Row{Tuple: tup, Key: tup.Key()} // want "composite literal" `Tuple\.Key\(\) allocates`
@@ -27,4 +30,17 @@ func scratch(tup value.Tuple, buf []byte) []byte {
 func clearSlot(rows []value.Row) {
 	// The zero value is not a key construction.
 	rows[0] = value.Row{}
+}
+
+func decodeRef(ref provenance.Ref) value.Tuple {
+	return ref.Tuple() // want `Ref\.Tuple\(\) decodes`
+}
+
+type node struct {
+	ref provenance.Ref
+	t   value.Tuple
+}
+
+func carried(n node) value.Tuple {
+	return n.t
 }

@@ -16,10 +16,18 @@ type Ref struct {
 	Key string
 }
 
-// NewRef builds a Ref, encoding the tuple's canonical key. Callers that
-// already hold the key (storage rows, delta entries) should use RowRef,
-// which skips the encode.
-func NewRef(rel string, t value.Tuple) Ref { return Ref{Rel: rel, Key: t.Key()} }
+// NewRef builds a Ref, encoding the tuple's canonical key. The encoding
+// goes through a stack buffer, so the key string is the one allocation
+// for any tuple that fits it. Callers that already hold the key (storage
+// rows, delta entries) should use RowRef, which skips the encode.
+func NewRef(rel string, t value.Tuple) Ref {
+	var arr [128]byte
+	buf := arr[:0]
+	if n := t.EncodedLen(); n > len(arr) {
+		buf = make([]byte, 0, n)
+	}
+	return Ref{Rel: rel, Key: string(t.EncodeKey(buf))}
+}
 
 // RowRef builds a Ref from a pre-keyed row without re-encoding.
 func RowRef(rel string, r value.Row) Ref { return Ref{Rel: rel, Key: r.Key} }
@@ -98,13 +106,16 @@ func (g *Graph) IsBase(ref Ref) bool { return g.baseRels[ref.Rel] }
 func (g *Graph) Mappings() []*MappingInfo { return g.mappings }
 
 // derivationFromRow materializes the Derivation of one provenance row.
-func (g *Graph) derivationFromRow(m *MappingInfo, row value.Tuple) Derivation {
+func (g *Graph) derivationFromRow(m *MappingInfo, row value.Tuple, s *Scratch) Derivation {
 	d := Derivation{Mapping: m, Row: row}
+	var t value.Tuple
 	for i := range m.Sources {
-		d.Sources = append(d.Sources, NewRef(m.Sources[i].Rel, m.Sources[i].Instantiate(row, g.sk)))
+		t = m.Sources[i].Instantiate(t, row, g.sk, s)
+		d.Sources = append(d.Sources, NewRef(m.Sources[i].Rel, t))
 	}
 	for i := range m.Targets {
-		d.Targets = append(d.Targets, NewRef(m.Targets[i].Rel, m.Targets[i].Instantiate(row, g.sk)))
+		t = m.Targets[i].Instantiate(t, row, g.sk, s)
+		d.Targets = append(d.Targets, NewRef(m.Targets[i].Rel, t))
 	}
 	return d
 }
@@ -115,13 +126,14 @@ func (g *Graph) derivationFromRow(m *MappingInfo, row value.Tuple) Derivation {
 // Eval/Support which walk tables once.
 func (g *Graph) DerivationsOf(ref Ref) []Derivation {
 	var out []Derivation
+	var s Scratch
 	for _, m := range g.byTarget[ref.Rel] {
 		pt := g.db.Table(m.ProvRel)
 		if pt == nil {
 			continue
 		}
 		pt.Each(func(row value.Tuple) bool {
-			d := g.derivationFromRow(m, row)
+			d := g.derivationFromRow(m, row, &s)
 			for _, t := range d.Targets {
 				if t == ref {
 					out = append(out, d)
@@ -142,6 +154,7 @@ func (g *Graph) DerivationsOf(ref Ref) []Derivation {
 
 // AllDerivations walks every provenance row of every mapping.
 func (g *Graph) AllDerivations(fn func(Derivation) bool) {
+	var s Scratch
 	for _, m := range g.mappings {
 		pt := g.db.Table(m.ProvRel)
 		if pt == nil {
@@ -149,7 +162,7 @@ func (g *Graph) AllDerivations(fn func(Derivation) bool) {
 		}
 		stop := false
 		pt.Each(func(row value.Tuple) bool {
-			if !fn(g.derivationFromRow(m, row)) {
+			if !fn(g.derivationFromRow(m, row, &s)) {
 				stop = true
 				return false
 			}

@@ -32,25 +32,92 @@ type AtomTemplate struct {
 	Args []ArgSpec
 }
 
+// Scratch is reusable working memory for Instantiate: the Skolem term's
+// argument tuple and key encoding. The zero value is ready to use; a
+// Scratch must not be shared between goroutines.
+type Scratch struct {
+	args value.Tuple
+	key  []byte
+}
+
 // Instantiate computes the concrete tuple of the template for a given
-// provenance row, interning Skolem terms in sk.
-func (at *AtomTemplate) Instantiate(row value.Tuple, sk *value.SkolemTable) value.Tuple {
-	out := make(value.Tuple, len(at.Args))
-	for i, a := range at.Args {
+// provenance row into dst's storage, allocating a new tuple only when
+// dst is too small (so a nil dst always yields a fresh one), and
+// interns Skolem terms in sk. Skolem arguments and keys are built in s:
+// a loop that threads one Scratch and one dst through its calls
+// allocates nothing once the terms are interned.
+func (at *AtomTemplate) Instantiate(dst, row value.Tuple, sk *value.SkolemTable, s *Scratch) value.Tuple {
+	out := dst[:0]
+	if cap(out) < len(at.Args) {
+		out = make(value.Tuple, 0, len(at.Args))
+	}
+	for _, a := range at.Args {
 		switch {
 		case a.Col >= 0:
-			out[i] = row[a.Col]
+			out = append(out, row[a.Col])
 		case a.Col == -1:
-			out[i] = a.Const
+			out = append(out, a.Const)
 		default:
-			args := make(value.Tuple, len(a.FnArgCols))
-			for j, c := range a.FnArgCols {
-				args[j] = row[c]
+			s.args = s.args[:0]
+			for _, c := range a.FnArgCols {
+				s.args = append(s.args, row[c])
 			}
-			out[i] = sk.Apply(a.Fn, args)
+			var v value.Value
+			v, s.key = sk.ApplyBuf(a.Fn, s.args, s.key)
+			out = append(out, v)
 		}
 	}
 	return out
+}
+
+// Matches reports whether the template instantiated from row equals
+// want, without building the instance or interning anything. Copied
+// columns and constants compare directly. Interning makes a labeled
+// null's id equal its term, so a Skolem position matches exactly when
+// want holds a null that sk resolves to the template's function over
+// row's argument columns; a term never interned cannot be in want.
+func (at *AtomTemplate) Matches(row, want value.Tuple, sk *value.SkolemTable) bool {
+	if len(want) != len(at.Args) {
+		return false
+	}
+	skolem := false
+	for i, a := range at.Args {
+		switch {
+		case a.Col >= 0:
+			if row[a.Col] != want[i] {
+				return false
+			}
+		case a.Col == -1:
+			if a.Const != want[i] {
+				return false
+			}
+		default:
+			skolem = true
+		}
+	}
+	if !skolem {
+		return true
+	}
+	// Resolve takes the interner's read lock: do it only once every
+	// cheap column has matched.
+	for i, a := range at.Args {
+		if a.Col >= -1 {
+			continue
+		}
+		if !want[i].IsNull() {
+			return false
+		}
+		fn, args, ok := sk.Resolve(want[i].NullID())
+		if !ok || fn != a.Fn || len(args) != len(a.FnArgCols) {
+			return false
+		}
+		for j, c := range a.FnArgCols {
+			if args[j] != row[c] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // MappingInfo describes one mapping's provenance encoding: which table

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"orchestra/internal/race"
 	"orchestra/internal/semiring"
 	"orchestra/internal/storage"
 	"orchestra/internal/tgd"
@@ -19,7 +20,7 @@ func TestAtomTemplateConstantsAndSkolems(t *testing.T) {
 		{Col: -2, Fn: "f", FnArgCols: []int{0, 1}},
 	}}
 	row := value.Tuple{value.Int(10), value.Int(20)}
-	got := at.Instantiate(row, sk)
+	got := at.Instantiate(nil, row, sk, new(Scratch))
 	if got[0] != value.Int(20) || got[1] != value.String("k") {
 		t.Fatalf("instantiate: %v", got)
 	}
@@ -28,6 +29,20 @@ func TestAtomTemplateConstantsAndSkolems(t *testing.T) {
 	}
 	if sk.Describe(got[2]) != "f(10,20)" {
 		t.Fatalf("skolem term: %s", sk.Describe(got[2]))
+	}
+
+	// Into a reused buffer and scratch, the same instance comes back, and
+	// once its term is interned it costs no allocation.
+	var s Scratch
+	buf := at.Instantiate(make(value.Tuple, 0, 3), row, sk, &s)
+	if !buf.Equal(got) {
+		t.Fatalf("instantiate into a buffer: %v, want %v", buf, got)
+	}
+	if race.Enabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, func() { buf = at.Instantiate(buf, row, sk, &s) }); n != 0 {
+		t.Errorf("instantiating into a reused buffer allocates %v per call, want 0", n)
 	}
 }
 

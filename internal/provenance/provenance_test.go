@@ -371,8 +371,8 @@ func TestInternalMappingTemplate(t *testing.T) {
 		t.Fatalf("mi = %+v", mi)
 	}
 	row := value.Tuple{value.Int(1), value.Int(2)}
-	src := mi.Sources[0].Instantiate(row, value.NewSkolemTable())
-	dst := mi.Targets[0].Instantiate(row, value.NewSkolemTable())
+	src := mi.Sources[0].Instantiate(nil, row, value.NewSkolemTable(), new(Scratch))
+	dst := mi.Targets[0].Instantiate(nil, row, value.NewSkolemTable(), new(Scratch))
 	if !src.Equal(row) || !dst.Equal(row) {
 		t.Fatal("identity templates")
 	}
