@@ -111,3 +111,55 @@ func TestCascadeAllocsBounded(t *testing.T) {
 			perRow, allocs, stats.ProvRowsDeleted)
 	}
 }
+
+// TestNetEffectAllocsPerEdit pins NetEffect's allocation budget per
+// first-seen edit. Each such edit converts its encoded key to a string
+// once, for both membership probes and both scan maps, and clones its
+// tuple; what remains is the state record, the delta row and amortized
+// map growth. The relation is wide enough that its keys do not fit the
+// runtime's small-string stack buffer.
+func TestNetEffectAllocsPerEdit(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	const n = 512 // first-seen edits
+	u := schema.NewUniverse()
+	p := schema.NewPeer("P")
+	if _, err := p.AddRelation("W",
+		schema.Column{Name: "a", Type: schema.TypeInt},
+		schema.Column{Name: "b", Type: schema.TypeInt},
+		schema.Column{Name: "c", Type: schema.TypeInt},
+		schema.Column{Name: "d", Type: schema.TypeInt}); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.AddPeer(p); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := NewSpec(u, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := NewView(spec, "", Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log EditLog
+	for k := 0; k < n; k++ {
+		log = append(log, Ins("W", MakeTuple(k, k+1, k+2, k+3)))
+	}
+	var dl storage.DeltaSet
+	allocs := testing.AllocsPerRun(4, func() {
+		dl, _, err = NetEffect(log, v.db)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(dl["W"].InsRows()); got != n {
+		t.Fatalf("net effect inserts %d local tuples, want %d", got, n)
+	}
+	perEdit := allocs / n
+	t.Logf("%.0f allocations over %d first-seen edits: %.2f per edit", allocs, n, perEdit)
+	if perEdit > 3.5 {
+		t.Errorf("NetEffect allocates %.2f per first-seen edit, want <= 3.5", perEdit)
+	}
+}

@@ -78,12 +78,10 @@ func NetEffect(log EditLog, db *storage.Database) (dl storage.DeltaSet, dr stora
 		keyBuf = t.EncodeKey(keyBuf[:0])
 		st, ok := byKey[string(keyBuf)]
 		if !ok {
-			st = &state{
-				inL: lt.ContainsKey(string(keyBuf)),
-				inR: rt.ContainsKey(string(keyBuf)),
-			}
-			byKey[string(keyBuf)] = st
-			tupOf[rel][string(keyBuf)] = t.Clone()
+			key := string(keyBuf)
+			st = &state{inL: lt.ContainsKey(key), inR: rt.ContainsKey(key)}
+			byKey[key] = st
+			tupOf[rel][key] = t.Clone()
 		}
 		return st, nil
 	}

@@ -54,17 +54,54 @@ func qerr(q string, pos int, format string, args ...any) error {
 //
 // Body relations are user relation names; they are answered from the Rᵒ
 // instances. Cancellation is plumbed into the evaluation.
+//
+// A text the result cache already knows is answered before it is parsed;
+// only a text miss parses, canonicalizes and probes the cache by
+// α-canonical key.
 func (v *View) Query(ctx context.Context, q string, includeNulls bool) ([]value.Tuple, error) {
-	start := time.Now()
+	obsOn := v.qobs != nil
+	st := obs.QueryStats{Query: q}
+	var mark time.Time
+	if obsOn {
+		st.Start = time.Now()
+	}
+	var repairStats ApplyStats
+	if err := v.repairIfDirty(ctx, &repairStats); err != nil {
+		return nil, err
+	}
+	tk := textKey{text: q, nulls: includeNulls}
+	if obsOn {
+		mark = time.Now()
+	}
+	if rows, ok := v.qcache.lookupText(v.db, tk); ok {
+		if obsOn {
+			v.emitHit(st, mark, len(rows))
+		}
+		return rows, nil
+	}
+	if obsOn {
+		st.CacheNS = time.Since(mark).Nanoseconds()
+		mark = time.Now()
+	}
 	rule, err := v.parseQuery(q)
 	if err != nil {
 		return nil, err
 	}
-	var parseNS int64
-	if v.qobs != nil {
-		parseNS = time.Since(start).Nanoseconds()
+	key := canonicalQueryKey(rule, includeNulls)
+	if obsOn {
+		st.ParseNS = time.Since(mark).Nanoseconds()
+		mark = time.Now()
 	}
-	return v.runQuery(ctx, rule, includeNulls, q, start, parseNS)
+	if rows, ok := v.qcache.lookup(v.db, key, tk); ok {
+		if obsOn {
+			v.emitHit(st, mark, len(rows))
+		}
+		return rows, nil
+	}
+	if obsOn {
+		st.CacheNS += time.Since(mark).Nanoseconds()
+	}
+	return v.evalQuery(ctx, rule, includeNulls, key, tk, st)
 }
 
 // SetQueryObserver attaches a per-query telemetry sink: fn receives one
@@ -143,39 +180,16 @@ func (v *View) parseQuery(q string) (*datalog.Rule, error) {
 	return rule, nil
 }
 
-// runQuery is the instrumented query body behind Query:
-// repair-if-dirty, cache probe, compile, evaluate, collect, store. qtext
-// is the raw query string for telemetry; start/parseNS anchor the phase
-// clocks.
-// When no observer is attached (v.qobs nil) the extra work is one
-// time.Now per phase boundary at most.
-func (v *View) runQuery(ctx context.Context, rule *datalog.Rule, includeNulls bool, qtext string, start time.Time, parseNS int64) ([]value.Tuple, error) {
-	var repairStats ApplyStats
-	if err := v.repairIfDirty(ctx, &repairStats); err != nil {
-		return nil, err
-	}
-	key := canonicalQueryKey(rule, includeNulls)
+// evalQuery is Query's cache-miss path: compile, evaluate, collect, and
+// store the result under key with tk as its alias. st carries the phase
+// clocks so far; it is emitted only when an observer is attached.
+func (v *View) evalQuery(ctx context.Context, rule *datalog.Rule, includeNulls bool, key string, tk textKey, st obs.QueryStats) ([]value.Tuple, error) {
 	obsOn := v.qobs != nil
-	st := obs.QueryStats{Query: qtext, Start: start, ParseNS: parseNS}
-	mark := time.Now()
-	if rows, ok := v.qcache.lookup(v.db, key); ok {
-		if obsOn {
-			st.Outcome = "hit"
-			st.CacheNS = time.Since(mark).Nanoseconds()
-			st.Rows = len(rows)
-			st.WallNS = time.Since(start).Nanoseconds()
-			v.emitQuery(st, nil)
-		}
-		return rows, nil
-	}
-	if obsOn {
-		st.CacheNS = time.Since(mark).Nanoseconds()
-	}
 	// Pin dependency generations before evaluating: the evaluator only
 	// writes the q$ workspace, so the result is consistent with these.
 	deps := v.queryDeps(rule)
 
-	mark = time.Now()
+	mark := time.Now()
 	ev, tmp, cleanup, err := v.compileQuery(rule)
 	if err != nil {
 		return nil, err
@@ -207,11 +221,21 @@ func (v *View) runQuery(ctx context.Context, rule *datalog.Rule, includeNulls bo
 				st.Deps[i] = obs.QueryDep{Rel: d.name, Gen: d.gen}
 			}
 		}
-		st.WallNS = time.Since(start).Nanoseconds()
+		st.WallNS = time.Since(st.Start).Nanoseconds()
 		v.emitQuery(st, ev)
 	}
-	v.qcache.store(key, out, deps)
+	v.qcache.store(key, tk, out, deps)
 	return out, nil
+}
+
+// emitHit emits a cache hit's record; mark is when its cache probe began.
+func (v *View) emitHit(st obs.QueryStats, mark time.Time, rows int) {
+	now := time.Now()
+	st.Outcome = "hit"
+	st.CacheNS += now.Sub(mark).Nanoseconds()
+	st.Rows = rows
+	st.WallNS = now.Sub(st.Start).Nanoseconds()
+	v.emitQuery(st, nil)
 }
 
 // emitQuery hands a completed query's record to the attached observer,
