@@ -163,3 +163,35 @@ func TestNetEffectAllocsPerEdit(t *testing.T) {
 		t.Errorf("NetEffect allocates %.2f per first-seen edit, want <= 3.5", perEdit)
 	}
 }
+
+// TestParseQueryAllocs pins the query parser's allocations on the
+// repository benchmark's two query shapes, a point probe and a join.
+// Every query that misses the result cache parses, so the parser's
+// cost lands in query latency wherever probes miss. The bounds are the
+// counts of the substring-splitting parser the scanner replaced.
+func TestParseQueryAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	v, err := NewView(kindSpec(t), "", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		q   string
+		max float64
+	}{
+		{"probe(x0,x1) :- S(5, x0)", 13},
+		{"join(s) :- S(a0,s), S(b0,s)", 17},
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(100, func() { _, err = v.parseQuery(c.q) })
+		if err != nil {
+			t.Fatalf("%q: %v", c.q, err)
+		}
+		t.Logf("%q: %.0f allocations", c.q, allocs)
+		if allocs > c.max {
+			t.Errorf("%q: parsing allocates %.0f times, want <= %.0f", c.q, allocs, c.max)
+		}
+	}
+}

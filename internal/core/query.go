@@ -120,55 +120,51 @@ func (v *View) SetQueryObserver(fn func(obs.QueryStats), slow time.Duration) {
 // Every failure is a *QueryError carrying the byte offset of the
 // offending fragment.
 func (v *View) parseQuery(q string) (*datalog.Rule, error) {
-	sep := strings.Index(q, ":-")
-	if sep < 0 {
-		return nil, qerr(q, 0, "missing ':-' between head and body")
-	}
-	heads, err := tgd.ParseAtoms(q[:sep])
+	s := tgd.Scan(q)
+	heads, err := s.Atoms()
 	if err != nil {
 		return nil, qerr(q, 0, "head: %v", err)
 	}
 	if len(heads) != 1 {
 		return nil, qerr(q, 0, "query must have exactly one head atom, got %d", len(heads))
 	}
-	seen := make(map[string]bool, len(heads[0].Args))
-	for _, t := range heads[0].Args {
-		if t.Kind != datalog.TermVar {
-			continue
-		}
-		if seen[t.Var] {
-			return nil, qerr(q, 0, "head repeats variable %q; bind it once and equate in the body or a where clause", t.Var)
-		}
-		seen[t.Var] = true
+	if !s.Accept(":-") {
+		return nil, qerr(q, 0, "missing ':-' between head and body")
 	}
-	bodyStart := sep + 2
-	bodyText := q[bodyStart:]
-	var where *trust.Pred
-	if i := strings.Index(bodyText, " where "); i >= 0 {
-		wherePos := bodyStart + i + 7
-		where, err = trust.ParsePred(bodyText[i+7:])
-		if err != nil {
-			return nil, qerr(q, wherePos, "selection: %v", err)
-		}
-		bodyText = bodyText[:i]
-	}
-	bodyAtoms, err := tgd.ParseAtoms(bodyText)
-	if err != nil {
-		return nil, qerr(q, bodyStart, "body: %v", err)
-	}
-	if len(bodyAtoms) == 0 {
-		return nil, qerr(q, bodyStart, "empty body")
-	}
-	body := make([]datalog.Literal, len(bodyAtoms))
-	for i, a := range bodyAtoms {
-		if v.spec.Universe.Relation(a.Pred) == nil {
-			pos := bodyStart
-			if j := strings.Index(q[bodyStart:], a.Pred); j >= 0 {
-				pos = bodyStart + j
+	args := heads[0].Args
+	for i, t := range args {
+		for _, u := range args[:i] {
+			if t.Kind == datalog.TermVar && u.Kind == datalog.TermVar && t.Var == u.Var {
+				return nil, qerr(q, 0, "head repeats variable %q; bind it once and equate in the body or a where clause", t.Var)
 			}
+		}
+	}
+	if s.Done() {
+		return nil, qerr(q, s.Peek().Pos, "empty body")
+	}
+	body := make([]datalog.Literal, 0, 4)
+	for {
+		pos := s.Peek().Pos
+		a, err := s.Atom()
+		if err != nil {
+			return nil, qerr(q, pos, "body: %v", err)
+		}
+		if v.spec.Universe.Relation(a.Pred) == nil {
 			return nil, qerr(q, pos, "unknown relation %q", a.Pred)
 		}
-		body[i] = datalog.Pos(datalog.NewAtom(OutputRel(a.Pred), a.Args...))
+		body = append(body, datalog.Pos(datalog.NewAtom(OutputRel(a.Pred), a.Args...)))
+		if !s.AcceptConj() {
+			break
+		}
+	}
+	var where *trust.Pred
+	if s.Accept("where") {
+		pos := s.Peek().Pos
+		if where, err = trust.ParsePred(s.Rest()); err != nil {
+			return nil, qerr(q, pos, "selection: %v", err)
+		}
+	} else if !s.Done() {
+		return nil, qerr(q, s.Peek().Pos, "body: unexpected %s", s.Peek())
 	}
 	rule := datalog.NewRule("query", heads[0], body...)
 	if where != nil && !where.Trivial() {

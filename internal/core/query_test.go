@@ -107,3 +107,34 @@ func TestDerivabilityAPI(t *testing.T) {
 		t.Fatalf("phantom tuple derivable: %v %v", ok, support)
 	}
 }
+
+// TestQueryLiteralsHoldKeywords asks queries whose string constants
+// spell the query syntax's own words and operators. The old parser split
+// the text at the first " where ", at every " and ", and at the first
+// operator it found, so it refused all three.
+func TestQueryLiteralsHoldKeywords(t *testing.T) {
+	v, err := NewView(kindSpec(t), "", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := EditLog{Ins("S", MakeTuple(1, "a where b")), Ins("S", MakeTuple(2, "x and y")), Ins("S", MakeTuple(3, "b"))}
+	if _, err := v.ApplyEdits(context.Background(), log, DeleteProvenance); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		q    string
+		want int64
+	}{
+		{`ans(k) :- S(k, "a where b")`, 1},
+		{`ans(k) :- S(k, s) where s = "x and y"`, 2},
+		{`ans(k) :- S(k, s) where s < "a=b"`, 1},
+	} {
+		rows, err := v.Query(context.Background(), c.q, false)
+		if err != nil {
+			t.Fatalf("%s: %v", c.q, err)
+		}
+		if len(rows) != 1 || rows[0][0].AsInt() != c.want {
+			t.Fatalf("%s: %v, want [[%d]]", c.q, rows, c.want)
+		}
+	}
+}

@@ -150,6 +150,9 @@ func TestQueryErrorPositions(t *testing.T) {
 		{"ans(x,x) :- U(x,y)", 0, "repeats variable"},
 		{"ans(x,y) :- Zed(x,y)", 12, "unknown relation"},
 		{"ans(x,y) :- U(x,y) where x !!", 25, "selection"},
+		// The atom Zq(k) starts at 20; the variable Zq at 15 is no
+		// relation.
+		{"ans(k) :- U(k, Zq), Zq(k)", 20, "unknown relation"},
 	}
 	for _, c := range cases {
 		_, err := v.Query(context.Background(), c.q, false)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"orchestra/internal/schema"
 	"orchestra/internal/tgd"
@@ -21,6 +22,9 @@ type Spec struct {
 	// Policies maps peer name → trust policy; absent peers trust
 	// everything (the paper's trivially-true Θ default).
 	Policies map[string]*trust.Policy
+
+	fingerprintOnce sync.Once
+	fingerprint     string
 }
 
 // NewSpec validates the CDSS description: mappings are well formed over
@@ -77,8 +81,14 @@ func (s *Spec) Mapping(id string) *tgd.TGD {
 // same confederation, so a spec reached by evolution operations
 // fingerprints identically to the equivalent spec parsed from a file.
 // The digest identifies which spec a snapshot or state directory was
-// taken under (spec evolution bumps it; see internal/evolve).
+// taken under (spec evolution bumps it; see internal/evolve). It is
+// computed once per Spec, which is immutable after NewSpec.
 func (s *Spec) Fingerprint() string {
+	s.fingerprintOnce.Do(func() { s.fingerprint = s.computeFingerprint() })
+	return s.fingerprint
+}
+
+func (s *Spec) computeFingerprint() string {
 	h := sha256.New()
 	peers := append([]*schema.Peer(nil), s.Universe.Peers()...)
 	sort.Slice(peers, func(i, j int) bool { return peers[i].Name < peers[j].Name })

@@ -7,6 +7,7 @@ package datalog
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"orchestra/internal/value"
@@ -48,12 +49,16 @@ func Sk(fn string, args ...string) Term {
 	return Term{Kind: TermSkolem, Fn: fn, FnArgs: args}
 }
 
-// String renders the term in rule syntax.
+// String renders the term in rule syntax. A string constant is always
+// quoted, so the text parses back to a constant and never to a variable.
 func (t Term) String() string {
 	switch t.Kind {
 	case TermVar:
 		return t.Var
 	case TermConst:
+		if t.Const.Kind() == value.KindString {
+			return strconv.Quote(t.Const.AsString())
+		}
 		return t.Const.String()
 	case TermSkolem:
 		return fmt.Sprintf("%s(%s)", t.Fn, strings.Join(t.FnArgs, ","))

@@ -35,7 +35,9 @@ func TestAtomVars(t *testing.T) {
 
 func TestAtomString(t *testing.T) {
 	a := NewAtom("R", V("x"), C(value.String("s")))
-	if a.String() != "R(x,s)" {
+	// A string constant is quoted, or the text would read back as the
+	// variable s.
+	if a.String() != `R(x,"s")` {
 		t.Fatalf("String = %q", a.String())
 	}
 }

@@ -82,8 +82,9 @@ type Op struct {
 	TrustPeer string
 	// Policy is the replacement policy (OpSetTrust; nil = trust-all).
 	Policy *trust.Policy
-	// Directive is the raw trust directive after the "trust" keyword
-	// (OpTrustDirective), e.g. "PBioSQL distrusts mapping m1 when n >= 3".
+	// Directive is the trust directive after the "trust" keyword
+	// (OpTrustDirective), e.g. "PBioSQL distrusts mapping m1 when n >= 3";
+	// Parse stores it as spec.PolicyDirectives writes it.
 	Directive string
 }
 
@@ -266,83 +267,90 @@ func Parse(r io.Reader) (*Diff, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	lineNo := 0
-	var peerText strings.Builder // accumulates a multi-line peer block
+	peerText := "" // the lines of a peer block read so far
 
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = strings.TrimSpace(line[:i])
+		text := sc.Text()
+		if peerText != "" {
+			text = peerText + "\n" + text
 		}
-		if line == "" {
+		line := tgd.Scan(text)
+		if line.Done() {
 			continue
 		}
-		fail := func(format string, args ...any) error {
-			return fmt.Errorf("evolve: line %d: %s", lineNo, fmt.Sprintf(format, args...))
-		}
-
-		if peerText.Len() > 0 {
-			peerText.WriteString(" " + line)
-			if !strings.HasSuffix(line, "}") {
+		var op Op
+		var err error
+		switch kw := line.Next().Text; {
+		case kw == "add" && line.Accept("peer"):
+			peerText = text
+			if !closesBlock(line) {
 				continue
 			}
-			p, err := spec.ParsePeerDecl(peerText.String())
-			peerText.Reset()
-			if err != nil {
-				return nil, fail("%v", err)
-			}
-			d.Ops = append(d.Ops, Op{Kind: OpAddPeer, Peer: p})
-			continue
-		}
-
-		switch {
-		case strings.HasPrefix(line, "add peer "):
-			decl := strings.TrimSpace(strings.TrimPrefix(line, "add peer "))
-			if strings.Contains(decl, "{") && !strings.HasSuffix(decl, "}") {
-				peerText.WriteString(decl)
-				continue
-			}
-			p, err := spec.ParsePeerDecl(decl)
-			if err != nil {
-				return nil, fail("%v", err)
-			}
-			d.Ops = append(d.Ops, Op{Kind: OpAddPeer, Peer: p})
-
-		case strings.HasPrefix(line, "add mapping "):
-			m, err := tgd.Parse(strings.TrimPrefix(line, "add mapping "))
-			if err != nil {
-				return nil, fail("%v", err)
-			}
-			d.Ops = append(d.Ops, Op{Kind: OpAddMapping, Mapping: m})
-
-		case strings.HasPrefix(line, "remove mapping "):
-			id := strings.TrimSpace(strings.TrimPrefix(line, "remove mapping "))
-			if id == "" {
-				return nil, fail("remove mapping without an id")
-			}
-			d.Ops = append(d.Ops, Op{Kind: OpRemoveMapping, MappingID: id})
-
-		case strings.HasPrefix(line, "trust "):
-			d.Ops = append(d.Ops, Op{Kind: OpTrustDirective, Directive: strings.TrimSpace(strings.TrimPrefix(line, "trust "))})
-
-		case strings.HasPrefix(line, "untrust "):
-			peer := strings.TrimSpace(strings.TrimPrefix(line, "untrust "))
-			if peer == "" {
-				return nil, fail("untrust without a peer")
-			}
-			d.Ops = append(d.Ops, Op{Kind: OpSetTrust, TrustPeer: peer, Policy: nil})
-
+			peerText = ""
+			op.Kind = OpAddPeer
+			op.Peer, err = spec.ParsePeerDecl(line.Rest())
+		case kw == "add" && line.Accept("mapping"):
+			op.Kind = OpAddMapping
+			op.Mapping, err = tgd.Parse(line.Rest())
+		case kw == "remove" && line.Accept("mapping"):
+			op.Kind = OpRemoveMapping
+			op.MappingID, err = name(&line, "remove mapping without an id")
+		case kw == "untrust":
+			op.Kind = OpSetTrust
+			op.TrustPeer, err = name(&line, "untrust without a peer")
+		case kw == "trust":
+			op.Kind = OpTrustDirective
+			op.Directive, err = canonicalDirective(line.Rest())
 		default:
-			return nil, fail("unknown directive %q", line)
+			err = fmt.Errorf("unknown directive %q", strings.TrimSpace(text))
 		}
+		if err != nil {
+			return nil, fmt.Errorf("evolve: line %d: %w", lineNo, err)
+		}
+		d.Ops = append(d.Ops, op)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if peerText.Len() > 0 {
-		return nil, fmt.Errorf("evolve: unterminated peer block %q", peerText.String())
+	if peerText != "" {
+		return nil, fmt.Errorf("evolve: unterminated peer block %q", peerText)
 	}
 	return d, nil
+}
+
+// closesBlock reports whether the rest of s holds a '}'.
+func closesBlock(s tgd.Scanner) bool {
+	for !s.Done() {
+		if t := s.Next(); t.Kind == tgd.Punct && t.Text == "}" {
+			return true
+		}
+	}
+	return false
+}
+
+// name reads the one identifier that makes up the rest of a line.
+func name(s *tgd.Scanner, missing string) (string, error) {
+	t := s.Next()
+	if t.Kind != tgd.Ident {
+		return "", fmt.Errorf("%s, got %s", missing, t)
+	}
+	return t.Text, s.ExpectDone()
+}
+
+// canonicalDirective checks a trust directive and returns it as the
+// spec renderer writes it, so a diff renders the same however its
+// directives were spelled.
+func canonicalDirective(text string) (string, error) {
+	var pol *trust.Policy
+	err := spec.ApplyTrustDirective(text, func(peer string) *trust.Policy {
+		pol = trust.NewPolicy(peer)
+		return pol
+	})
+	if err != nil {
+		return "", err
+	}
+	return spec.PolicyDirectives(pol)[0], nil
 }
 
 // ParseString parses a diff from a string.

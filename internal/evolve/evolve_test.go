@@ -142,10 +142,31 @@ func TestParseErrors(t *testing.T) {
 		"add peer P",
 		"untrust",
 		"add peer P { relation X(a int)", // unterminated block
+		"trust P frobs mapping m",        // a directive is checked when read
+		"trust P distrusts base S when",
 	} {
 		if _, err := ParseString(bad); err == nil {
 			t.Errorf("ParseString(%q) succeeded, want error", bad)
 		}
+	}
+}
+
+// TestParseLiteralsAndComments reads a diff whose constants hold '#',
+// "and" and a space run: the old parser cut every line at its first '#'
+// and rebuilt trust directives word by word. A trust directive is kept
+// as the spec renderer writes it.
+func TestParseLiteralsAndComments(t *testing.T) {
+	d, err := ParseString(`add mapping m: A(x, "a#b") -> B(x) # why
+trust Q distrusts base S when s='x and  y' AND k<>3 # note
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := d.Ops[0].Mapping.LHS[0].Args[1].Const; c.AsString() != "a#b" {
+		t.Fatalf("mapping constant %v, want a#b", c)
+	}
+	if want := `Q distrusts base S when s = "x and  y" and k != 3`; d.Ops[1].Directive != want {
+		t.Fatalf("directive %q, want %q", d.Ops[1].Directive, want)
 	}
 }
 

@@ -1,13 +1,17 @@
 package evolve
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // FuzzParse throws arbitrary text at the .cdssd spec-diff parser. The
 // parser must never panic; and whenever it accepts an input, rendering
-// the parsed diff and re-parsing the result must succeed with the same
-// number of operations and an identical re-rendering (render∘parse is a
-// normal form — what `orchestra evolve` and orchestrad's admin
-// endpoints round-trip through).
+// the parsed diff and re-parsing the result must succeed with operations
+// equal in structure to the first parse — peers, mapping terms down to
+// each constant's kind and bytes, trust directives — and an identical
+// re-rendering (render∘parse is a normal form — what `orchestra evolve`
+// and orchestrad's admin endpoints round-trip through).
 func FuzzParse(f *testing.F) {
 	f.Add(`# grow the confederation
 add peer PRef {
@@ -23,6 +27,9 @@ untrust PBioSQL
 	f.Add("add peer P { relation R(a string) }")
 	f.Add("trust P distrusts peer Q\n")
 	f.Add("set trust nonsense\n")
+	f.Add("add mapping m: A(x, \"abc\") -> B(x)\nadd mapping n: A(x), A(\"p -> q\") -> B(x)\n")
+	f.Add("trust Q distrusts base S when s = \"a  b\"\ntrust Q trusts mapping '' when s = \"x and y\" and t<'a=b'\n")
+	f.Add("add peer P { # a comment } in a line\n  relation R(a int) # and one after\n}\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		d, err := ParseString(input)
 		if err != nil {
@@ -33,8 +40,8 @@ untrust PBioSQL
 		if err != nil {
 			t.Fatalf("accepted diff rendered to unparseable text:\ninput: %q\nrendered: %q\nerr: %v", input, rendered, err)
 		}
-		if len(again.Ops) != len(d.Ops) {
-			t.Fatalf("round-trip changed op count: %d -> %d\nrendered: %q", len(d.Ops), len(again.Ops), rendered)
+		if !reflect.DeepEqual(again.Ops, d.Ops) {
+			t.Fatalf("rendered diff reads back different:\ninput: %q\nrendered: %q", input, rendered)
 		}
 		if re := again.String(); re != rendered {
 			t.Fatalf("render is not a normal form:\nfirst:  %q\nsecond: %q", rendered, re)

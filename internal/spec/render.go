@@ -6,13 +6,13 @@ import (
 	"strings"
 
 	"orchestra/internal/core"
+	"orchestra/internal/datalog"
 	"orchestra/internal/trust"
-	"orchestra/internal/value"
 )
 
 // Render writes a File back to the textual CDSS format, such that
-// Parse(Render(f)) reproduces the same spec. Trust policies render
-// through their original directives where possible.
+// Parse(Render(f)) reproduces the same spec. Trust policies render as
+// PolicyDirectives writes them.
 func Render(f *File) string {
 	var b strings.Builder
 	u := f.Spec.Universe
@@ -56,7 +56,7 @@ func PolicyDirectives(pol *trust.Policy) []string {
 	for _, c := range pol.AllConditions() {
 		scope := c.Mapping
 		if scope == "" {
-			scope = "''"
+			scope = strconv.Quote("")
 		}
 		if c.Distrust {
 			// The condition is stored negated; Raw holds the original.
@@ -75,20 +75,16 @@ func PolicyDirectives(pol *trust.Policy) []string {
 	return out
 }
 
-// renderEdit renders one edit line with constants in parseable form
-// (strings always quoted so they are not read back as variables).
+// renderEdit renders one edit line; its constants render as datalog
+// terms do, so a string is quoted and never reads back as a variable.
 func renderEdit(peer string, e core.Edit) string {
 	sign := "-"
 	if e.Insert {
 		sign = "+"
 	}
-	parts := make([]string, len(e.Tuple))
+	a := datalog.Atom{Pred: e.Rel, Args: make([]datalog.Term, len(e.Tuple))}
 	for i, v := range e.Tuple {
-		if v.Kind() == value.KindString {
-			parts[i] = strconv.Quote(v.AsString())
-		} else {
-			parts[i] = v.String()
-		}
+		a.Args[i] = datalog.C(v)
 	}
-	return fmt.Sprintf("edit %s %s %s(%s)\n", peer, sign, e.Rel, strings.Join(parts, ","))
+	return fmt.Sprintf("edit %s %s %s\n", peer, sign, a)
 }

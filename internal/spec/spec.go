@@ -28,7 +28,6 @@ import (
 	"strings"
 
 	"orchestra/internal/core"
-	"orchestra/internal/datalog"
 	"orchestra/internal/schema"
 	"orchestra/internal/tgd"
 	"orchestra/internal/trust"
@@ -80,102 +79,50 @@ func Parse(r io.Reader) (*File, error) {
 	lineNo := 0
 	var curPeer *schema.Peer
 
-	flushPeer := func() error {
-		if curPeer == nil {
-			return nil
-		}
-		err := u.AddPeer(curPeer)
-		curPeer = nil
-		return err
-	}
-
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = strings.TrimSpace(line[:i])
-		}
-		if line == "" {
+		line := tgd.Scan(sc.Text())
+		if line.Done() {
 			continue
 		}
-		fail := func(format string, args ...any) error {
-			return fmt.Errorf("spec: line %d: %s", lineNo, fmt.Sprintf(format, args...))
-		}
-
-		// Inside a peer block?
-		if curPeer != nil {
-			switch {
-			case line == "}":
-				if err := flushPeer(); err != nil {
-					return nil, fail("%v", err)
+		var err error
+		if curPeer == nil {
+			kw := ""
+			if t := line.Next(); t.Kind == tgd.Ident && !line.Done() {
+				kw = t.Text
+			}
+			switch kw {
+			case "peer":
+				curPeer, err = peerHead(&line)
+			case "mapping":
+				var m *tgd.TGD
+				if m, err = tgd.Parse(line.Rest()); err == nil {
+					if m.ID == "" {
+						m.ID = fmt.Sprintf("m%d", len(mappings)+1)
+					}
+					mappings = append(mappings, m)
 				}
-			case strings.HasPrefix(line, "relation "):
-				if err := parseRelation(curPeer, strings.TrimPrefix(line, "relation ")); err != nil {
-					return nil, fail("%v", err)
+			case "trust":
+				err = ApplyTrustDirective(line.Rest(), policyOf)
+			case "edit":
+				var pe PeerEdit
+				if pe, err = parseEdit(&line); err == nil {
+					edits = append(edits, pe)
 				}
 			default:
-				return nil, fail("unexpected %q inside peer block", line)
+				err = fmt.Errorf("unknown directive %q", strings.TrimSpace(sc.Text()))
 			}
-			continue
 		}
-
-		switch {
-		case strings.HasPrefix(line, "peer "):
-			rest := strings.TrimSpace(strings.TrimPrefix(line, "peer "))
-			name, body, hasBrace := strings.Cut(rest, "{")
-			name = strings.TrimSpace(name)
-			if name == "" {
-				return nil, fail("peer with empty name")
+		// A peer block's relations, on its first line or the lines after.
+		if err == nil && curPeer != nil {
+			var closed bool
+			if closed, err = peerBody(&line, curPeer); closed && err == nil {
+				err = u.AddPeer(curPeer)
+				curPeer = nil
 			}
-			curPeer = schema.NewPeer(name)
-			if hasBrace {
-				body = strings.TrimSpace(body)
-				closed := false
-				if strings.HasSuffix(body, "}") {
-					body = strings.TrimSpace(strings.TrimSuffix(body, "}"))
-					closed = true
-				}
-				for _, decl := range splitDecls(body) {
-					if !strings.HasPrefix(decl, "relation ") {
-						return nil, fail("expected relation declaration, got %q", decl)
-					}
-					if err := parseRelation(curPeer, strings.TrimPrefix(decl, "relation ")); err != nil {
-						return nil, fail("%v", err)
-					}
-				}
-				if closed {
-					if err := flushPeer(); err != nil {
-						return nil, fail("%v", err)
-					}
-				}
-			} else {
-				return nil, fail("peer declaration missing '{'")
-			}
-
-		case strings.HasPrefix(line, "mapping "):
-			m, err := tgd.Parse(strings.TrimPrefix(line, "mapping "))
-			if err != nil {
-				return nil, fail("%v", err)
-			}
-			if m.ID == "" {
-				m.ID = fmt.Sprintf("m%d", len(mappings)+1)
-			}
-			mappings = append(mappings, m)
-
-		case strings.HasPrefix(line, "trust "):
-			if err := parseTrust(strings.TrimPrefix(line, "trust "), policyOf); err != nil {
-				return nil, fail("%v", err)
-			}
-
-		case strings.HasPrefix(line, "edit "):
-			pe, err := parseEdit(strings.TrimPrefix(line, "edit "))
-			if err != nil {
-				return nil, fail("%v", err)
-			}
-			edits = append(edits, pe)
-
-		default:
-			return nil, fail("unknown directive %q", line)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("spec: line %d: %w", lineNo, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -213,131 +160,137 @@ func ParseString(s string) (*File, error) { return Parse(strings.NewReader(s)) }
 // schema.Peer. Spec evolution (internal/evolve, System.AddPeer) uses it
 // to accept new peers in the same syntax spec files declare them in.
 func ParsePeerDecl(text string) (*schema.Peer, error) {
-	text = strings.TrimSpace(text)
-	name, body, hasBrace := strings.Cut(text, "{")
-	name = strings.TrimSpace(name)
-	if name == "" {
-		return nil, fmt.Errorf("spec: peer with empty name")
+	s := tgd.Scan(text)
+	p, err := peerHead(&s)
+	if err != nil {
+		return nil, fmt.Errorf("spec: %w", err)
 	}
-	if !hasBrace || !strings.HasSuffix(strings.TrimSpace(body), "}") {
+	closed, err := peerBody(&s, p)
+	if err != nil {
+		return nil, fmt.Errorf("spec: %w", err)
+	}
+	if !closed {
 		return nil, fmt.Errorf("spec: peer declaration %q must be of the form 'Name { relation R(...) ... }'", text)
 	}
-	body = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(body), "}"))
-	p := schema.NewPeer(name)
-	for _, decl := range splitDecls(body) {
-		if !strings.HasPrefix(decl, "relation ") {
-			return nil, fmt.Errorf("spec: expected relation declaration, got %q", decl)
-		}
-		if err := parseRelation(p, strings.TrimPrefix(decl, "relation ")); err != nil {
-			return nil, err
-		}
-	}
 	if p.Schema.Len() == 0 {
-		return nil, fmt.Errorf("spec: peer %q declares no relations", name)
+		return nil, fmt.Errorf("spec: peer %q declares no relations", p.Name)
 	}
 	return p, nil
 }
 
-// ApplyTrustDirective applies one trust directive — the text after the
-// "trust" keyword, e.g. "PBioSQL distrusts mapping m1 when n >= 3" — to
-// the policy returned by policyOf for the directive's peer.
-func ApplyTrustDirective(rest string, policyOf func(string) *trust.Policy) error {
-	return parseTrust(rest, policyOf)
+// peerHead reads "Name {", the start of a peer declaration.
+func peerHead(s *tgd.Scanner) (*schema.Peer, error) {
+	name := s.Next()
+	if name.Kind != tgd.Ident {
+		return nil, fmt.Errorf("peer with bad name %s", name)
+	}
+	if !s.Accept("{") {
+		return nil, fmt.Errorf("peer declaration missing '{'")
+	}
+	return schema.NewPeer(name.Text), nil
 }
 
-// splitDecls splits "relation A(..) relation B(..)" on the keyword.
-func splitDecls(body string) []string {
-	var out []string
-	for _, part := range strings.Split(body, "relation ") {
-		part = strings.TrimSpace(part)
-		if part != "" {
-			out = append(out, "relation "+part)
+// peerBody reads relation declarations "relation G(id int, can int)"
+// into p up to the end of s or a closing '}' that ends s, and reports
+// whether it read the '}'.
+func peerBody(s *tgd.Scanner, p *schema.Peer) (closed bool, err error) {
+	for !s.Done() {
+		if s.Accept("}") {
+			return true, s.ExpectDone()
+		}
+		if !s.Accept("relation") {
+			return false, fmt.Errorf("unexpected %s inside peer block, want a relation declaration", s.Peek())
+		}
+		if err := parseRelation(s, p); err != nil {
+			return false, err
 		}
 	}
-	return out
+	return false, nil
 }
 
-// parseRelation parses "G(id int, can int, nam int)".
-func parseRelation(p *schema.Peer, decl string) error {
-	decl = strings.TrimSpace(decl)
-	open := strings.IndexByte(decl, '(')
-	if open < 0 || !strings.HasSuffix(decl, ")") {
-		return fmt.Errorf("bad relation declaration %q", decl)
+// parseRelation reads "G(id int, can int, nam int)"; a column's type is
+// optional.
+func parseRelation(s *tgd.Scanner, p *schema.Peer) error {
+	name := s.Next()
+	if name.Kind != tgd.Ident || !s.Accept("(") {
+		return fmt.Errorf("bad relation declaration at %s", name)
 	}
-	name := strings.TrimSpace(decl[:open])
+	if s.Accept(")") {
+		return fmt.Errorf("relation %q has no columns", name.Text)
+	}
 	var cols []schema.Column
-	inner := decl[open+1 : len(decl)-1]
-	if strings.TrimSpace(inner) == "" {
-		return fmt.Errorf("relation %q has no columns", name)
-	}
-	for _, c := range strings.Split(inner, ",") {
-		fields := strings.Fields(strings.TrimSpace(c))
-		if len(fields) == 0 || len(fields) > 2 {
-			return fmt.Errorf("bad column %q in relation %q", c, name)
+	for {
+		c := s.Next()
+		if c.Kind != tgd.Ident {
+			return fmt.Errorf("bad column %s in relation %q", c, name.Text)
 		}
-		col := schema.Column{Name: fields[0]}
-		if len(fields) == 2 {
-			typ, err := schema.ParseType(fields[1])
+		col := schema.Column{Name: c.Text}
+		if t := s.Peek(); t.Kind == tgd.Ident {
+			s.Next()
+			typ, err := schema.ParseType(t.Text)
 			if err != nil {
 				return err
 			}
 			col.Type = typ
 		}
 		cols = append(cols, col)
+		if s.Accept(")") {
+			break
+		}
+		if err := s.Expect(","); err != nil {
+			return fmt.Errorf("relation %q: %w", name.Text, err)
+		}
 	}
-	_, err := p.AddRelation(name, cols...)
+	_, err := p.AddRelation(name.Text, cols...)
 	return err
 }
 
-// parseTrust parses trust directives:
+// ApplyTrustDirective applies one trust directive — the text after the
+// "trust" keyword — to the policy returned by policyOf for the
+// directive's peer:
 //
 //	<peer> distrusts mapping <id> [when <pred>]
 //	<peer> trusts mapping <id> when <pred>
 //	<peer> distrusts peer <name>
 //	<peer> distrusts base <rel> when <pred>
-func parseTrust(rest string, policyOf func(string) *trust.Policy) error {
-	fields := strings.Fields(rest)
-	if len(fields) < 3 {
+//
+// The mapping id "" (written as an empty string literal) is the
+// wildcard scope: every mapping.
+func ApplyTrustDirective(rest string, policyOf func(string) *trust.Policy) error {
+	s := tgd.Scan(rest)
+	peer, verb, kind, name := s.Next(), s.Next(), s.Next(), s.Next()
+	wildcard := name.Kind == tgd.String && name.Text == "" && kind.Text == "mapping"
+	if peer.Kind != tgd.Ident || verb.Kind != tgd.Ident || kind.Kind != tgd.Ident || name.Kind != tgd.Ident && !wildcard {
 		return fmt.Errorf("bad trust directive %q", rest)
 	}
-	peer, verb, kind := fields[0], fields[1], fields[2]
-	pol := policyOf(peer)
-	tail := strings.Join(fields[3:], " ")
-	name, pred := tail, ""
-	if i := strings.Index(tail, " when "); i >= 0 {
-		name, pred = strings.TrimSpace(tail[:i]), strings.TrimSpace(tail[i+6:])
+	pred, hasPred := trust.True, s.Accept("when")
+	if hasPred {
+		if s.Done() {
+			return fmt.Errorf("empty 'when' condition in %q", rest)
+		}
+		var err error
+		if pred, err = trust.ParsePred(s.Rest()); err != nil {
+			return err
+		}
+	} else if err := s.ExpectDone(); err != nil {
+		return fmt.Errorf("bad trust directive %q: %w", rest, err)
 	}
-	if name == "''" {
-		// The rendered form of the wildcard any-mapping scope.
-		name = ""
-	}
+	pol := policyOf(peer.Text)
 	switch {
-	case verb == "distrusts" && kind == "peer":
-		if pred != "" {
+	case verb.Text == "distrusts" && kind.Text == "peer":
+		if hasPred {
 			return fmt.Errorf("peer distrust cannot carry a condition")
 		}
-		pol.DistrustPeer(name)
-	case verb == "distrusts" && kind == "mapping":
-		p, err := trust.ParsePred(pred)
-		if err != nil {
-			return err
-		}
-		pol.DistrustMapping(name, p)
-	case verb == "trusts" && kind == "mapping":
-		p, err := trust.ParsePred(pred)
-		if err != nil {
-			return err
-		}
-		pol.TrustMapping(name, p)
-	case verb == "distrusts" && kind == "base":
-		p, err := trust.ParsePred(pred)
-		if err != nil {
-			return err
-		}
-		if p.Trivial() {
+		pol.DistrustPeer(name.Text)
+	case verb.Text == "distrusts" && kind.Text == "mapping":
+		pol.DistrustMapping(name.Text, pred)
+	case verb.Text == "trusts" && kind.Text == "mapping":
+		pol.TrustMapping(name.Text, pred)
+	case verb.Text == "distrusts" && kind.Text == "base":
+		if pred.Trivial() {
 			return fmt.Errorf("base distrust needs a 'when' condition (use 'distrusts peer' otherwise)")
 		}
-		pol.DistrustBase(name, p)
+		pol.DistrustBase(name.Text, pred)
 	default:
 		return fmt.Errorf("bad trust directive %q", rest)
 	}
@@ -345,29 +298,25 @@ func parseTrust(rest string, policyOf func(string) *trust.Policy) error {
 }
 
 // parseEdit parses "PGUS + G(1,2,3)" / "PGUS - G(1,2,3)".
-func parseEdit(rest string) (PeerEdit, error) {
-	fields := strings.Fields(rest)
-	if len(fields) < 3 {
-		return PeerEdit{}, fmt.Errorf("bad edit %q (want: <peer> +|- Rel(..))", rest)
+func parseEdit(s *tgd.Scanner) (PeerEdit, error) {
+	peer, sign, rel := s.Next(), s.Next(), s.Next()
+	if peer.Kind != tgd.Ident || rel.Kind != tgd.Ident || sign.Kind != tgd.Punct || sign.Text != "+" && sign.Text != "-" {
+		return PeerEdit{}, fmt.Errorf("bad edit sign or names (want: <peer> +|- Rel(..))")
 	}
-	peer, sign, atomText := fields[0], fields[1], strings.Join(fields[2:], " ")
-	if sign != "+" && sign != "-" {
-		return PeerEdit{}, fmt.Errorf("bad edit sign %q", sign)
+	err := s.Expect("(")
+	var t value.Tuple
+	if err == nil {
+		t, err = s.Tuple()
 	}
-	atoms, err := tgd.ParseAtoms(atomText)
+	if err == nil {
+		err = s.Expect(")")
+	}
+	if err == nil {
+		err = s.ExpectDone()
+	}
 	if err != nil {
-		return PeerEdit{}, err
+		return PeerEdit{}, fmt.Errorf("edit %s: %w", rel.Text, err)
 	}
-	if len(atoms) != 1 {
-		return PeerEdit{}, fmt.Errorf("edit must reference exactly one tuple")
-	}
-	t := make(value.Tuple, len(atoms[0].Args))
-	for i, term := range atoms[0].Args {
-		if term.Kind != datalog.TermConst {
-			return PeerEdit{}, fmt.Errorf("edit tuple must be ground, got variable %q", term.Var)
-		}
-		t[i] = term.Const
-	}
-	e := core.Edit{Insert: sign == "+", Rel: atoms[0].Pred, Tuple: t}
-	return PeerEdit{Peer: peer, Edit: e}, nil
+	e := core.Edit{Insert: sign.Text == "+", Rel: rel.Text, Tuple: t}
+	return PeerEdit{Peer: peer.Text, Edit: e}, nil
 }

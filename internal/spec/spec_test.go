@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"orchestra/internal/core"
+	"orchestra/internal/value"
 )
 
 const paperSpecText = `
@@ -197,5 +198,92 @@ trust Q trusts mapping m when x < 5
 	pol := f.Spec.Policy("Q")
 	if pol == nil || len(pol.Conditions("m")) != 1 {
 		t.Fatal("condition missing")
+	}
+}
+
+// TestMappingStringConstant is a mapping with a string constant. The
+// renderer used to write the constant bare, so the rendered spec read
+// back with a variable in its place, and the constant spec shared its
+// fingerprint with the variable one.
+func TestMappingStringConstant(t *testing.T) {
+	const decls = "peer P { relation A(x int, y string) relation B(x int) }\n"
+	constant, err := ParseString(decls + `mapping m: A(x, "abc") -> B(x)` + "\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	variable, err := ParseString(decls + "mapping m: A(x, abc) -> B(x)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := Render(constant)
+	if !strings.Contains(text, `A(x,"abc")`) {
+		t.Fatalf("constant rendered unquoted:\n%s", text)
+	}
+	again, err := ParseString(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameFile(constant, again) {
+		t.Fatalf("rendered constant spec reads back as %s", again.Spec.Mappings[0])
+	}
+	if constant.Spec.Fingerprint() == variable.Spec.Fingerprint() {
+		t.Fatalf("constant and variable specs share fingerprint %s", constant.Spec.Fingerprint())
+	}
+}
+
+// TestEditLiterals are edit constants the old line splitter changed or
+// refused: a space run, a '#', and an escaped quote — which is also the
+// text Render writes for such a value.
+func TestEditLiterals(t *testing.T) {
+	for _, c := range []struct{ name, lit, want string }{
+		{"space run", `"a  b"`, "a  b"},
+		{"hash", `"a#b"`, "a#b"},
+		{"escaped quote", `"a\"b"`, `a"b`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f, err := ParseString("peer P { relation A(s string) }\nedit P + A(" + c.lit + ")\n")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := f.Edits[0].Edit.Tuple[0].AsString(); got != c.want {
+				t.Fatalf("edit loads %q, want %q", got, c.want)
+			}
+			again, err := ParseString(Render(f))
+			if err != nil {
+				t.Fatalf("rendered spec does not parse: %v\n%s", err, Render(f))
+			}
+			if !sameFile(f, again) {
+				t.Fatalf("rendered edit reads back as %v", again.Edits[0].Edit)
+			}
+		})
+	}
+}
+
+// TestTrustConditionLiterals are trust conditions whose constants hold a
+// space run or the word "and": the directive parser used to collapse the
+// first and split the second.
+func TestTrustConditionLiterals(t *testing.T) {
+	for _, c := range []struct{ name, lit, want string }{
+		{"space run", `"a  b"`, "a  b"},
+		{"and", `"x and y"`, "x and y"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f, err := ParseString("peer P { relation S(s string) }\npeer Q { relation T(s string) }\n" +
+				"trust Q distrusts base S when s = " + c.lit + "\n")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cond := f.Spec.Policy("Q").BaseConditions()[0].Distrust
+			if !cond.Eval(value.MapEnv{"s": value.String(c.want)}) || cond.String() != "s = "+c.lit {
+				t.Fatalf("condition %s, want s = %s", cond, c.lit)
+			}
+			again, err := ParseString(Render(f))
+			if err != nil {
+				t.Fatalf("rendered spec does not parse: %v\n%s", err, Render(f))
+			}
+			if !sameFile(f, again) {
+				t.Fatalf("rendered condition reads back as %s", again.Spec.Policy("Q").BaseConditions()[0].Distrust)
+			}
+		})
 	}
 }

@@ -2,12 +2,9 @@ package tgd
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
-	"unicode"
+	"slices"
 
 	"orchestra/internal/datalog"
-	"orchestra/internal/value"
 )
 
 // Parse parses a tgd in textual form:
@@ -21,48 +18,42 @@ import (
 // present it is checked against the inferred set). Identifiers are
 // variables; integers and quoted strings are constants.
 func Parse(input string) (*TGD, error) {
-	text := strings.TrimSpace(input)
+	s := Scan(input)
 	id := ""
-	// An id prefix is "name:" where name contains no parentheses and the
-	// colon appears before any '('.
-	if i := strings.IndexByte(text, ':'); i >= 0 {
-		if j := strings.IndexByte(text, '('); j < 0 || i < j {
-			id = strings.TrimSpace(text[:i])
-			text = strings.TrimSpace(text[i+1:])
-		}
+	if look := s; look.Next().Kind == Ident && look.Accept(":") {
+		id = s.Next().Text
+		s.Next()
 	}
-	parts := strings.SplitN(text, "->", 2)
-	if len(parts) != 2 {
-		return nil, fmt.Errorf("tgd: missing '->' in %q", input)
-	}
-	lhs, err := parseAtoms(parts[0])
+	lhs, err := s.Atoms()
 	if err != nil {
 		return nil, fmt.Errorf("tgd %s: LHS: %w", id, err)
 	}
-	rhsText := strings.TrimSpace(parts[1])
-	var declared []string
-	if strings.HasPrefix(rhsText, "exists ") || strings.HasPrefix(rhsText, "exists\t") {
-		rest := strings.TrimSpace(rhsText[len("exists"):])
-		dot := strings.IndexByte(rest, '.')
-		if dot < 0 {
-			return nil, fmt.Errorf("tgd %s: 'exists' clause missing '.'", id)
-		}
-		for _, v := range strings.Split(rest[:dot], ",") {
-			v = strings.TrimSpace(v)
-			if v != "" {
-				declared = append(declared, v)
-			}
-		}
-		rhsText = strings.TrimSpace(rest[dot+1:])
+	if !s.Accept("->") {
+		return nil, fmt.Errorf("tgd: missing '->' in %q", input)
 	}
-	rhs, err := parseAtoms(rhsText)
+	var declared []string
+	if look := s; look.Accept("exists") && !look.Accept("(") {
+		s = look
+		for !s.Accept(".") {
+			v := s.Next()
+			if v.Kind != Ident {
+				return nil, fmt.Errorf("tgd %s: 'exists' clause missing '.'", id)
+			}
+			declared = append(declared, v.Text)
+			s.Accept(",")
+		}
+	}
+	rhs, err := s.Atoms()
+	if err == nil {
+		err = s.ExpectDone()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("tgd %s: RHS: %w", id, err)
 	}
 	m := &TGD{ID: id, LHS: lhs, RHS: rhs}
 	if declared != nil {
 		inferred := m.ExistentialVars()
-		if !sameStringSet(declared, inferred) {
+		if !slices.Equal(slices.Sorted(slices.Values(declared)), slices.Sorted(slices.Values(inferred))) {
 			return nil, fmt.Errorf("tgd %s: declared existentials %v do not match RHS-only variables %v",
 				id, declared, inferred)
 		}
@@ -79,193 +70,15 @@ func MustParse(input string) *TGD {
 	return m
 }
 
-func sameStringSet(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
+// ParseAtoms parses a conjunction "R(a,b), S(c)" into atoms.
+func ParseAtoms(text string) ([]datalog.Atom, error) {
+	s := Scan(text)
+	atoms, err := s.Atoms()
+	if err == nil {
+		err = s.ExpectDone()
 	}
-	set := make(map[string]bool, len(a))
-	for _, v := range a {
-		set[v] = true
+	if err != nil {
+		return nil, err
 	}
-	for _, v := range b {
-		if !set[v] {
-			return false
-		}
-	}
-	return true
-}
-
-// ParseAtoms parses a conjunction "R(a,b), S(c)" into atoms. It is shared
-// with the query and spec parsers.
-func ParseAtoms(text string) ([]datalog.Atom, error) { return parseAtoms(text) }
-
-// parseAtoms parses "R(a,b), S(c)" into atoms.
-func parseAtoms(text string) ([]datalog.Atom, error) {
-	var out []datalog.Atom
-	rest := strings.TrimSpace(text)
-	for rest != "" {
-		open := strings.IndexByte(rest, '(')
-		if open < 0 {
-			return nil, fmt.Errorf("expected '(' in %q", rest)
-		}
-		pred := strings.TrimSpace(rest[:open])
-		if pred == "" || !isIdent(pred) {
-			return nil, fmt.Errorf("bad relation name %q", pred)
-		}
-		close := matchingParen(rest, open)
-		if close < 0 {
-			return nil, fmt.Errorf("unbalanced parentheses in %q", rest)
-		}
-		args, err := parseTerms(rest[open+1 : close])
-		if err != nil {
-			return nil, fmt.Errorf("atom %s: %w", pred, err)
-		}
-		out = append(out, datalog.Atom{Pred: pred, Args: args})
-		rest = strings.TrimSpace(rest[close+1:])
-		if rest == "" {
-			break
-		}
-		if rest[0] != ',' && rest[0] != '^' && !strings.HasPrefix(rest, "AND") && !strings.HasPrefix(rest, "and") {
-			return nil, fmt.Errorf("expected ',' between atoms near %q", rest)
-		}
-		switch {
-		case rest[0] == ',' || rest[0] == '^':
-			rest = strings.TrimSpace(rest[1:])
-		default:
-			rest = strings.TrimSpace(rest[3:])
-		}
-		if rest == "" {
-			return nil, fmt.Errorf("trailing conjunction in %q", text)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no atoms in %q", text)
-	}
-	return out, nil
-}
-
-func matchingParen(s string, open int) int {
-	depth := 0
-	inStr := byte(0)
-	for i := open; i < len(s); i++ {
-		c := s[i]
-		if inStr != 0 {
-			if c == inStr {
-				inStr = 0
-			}
-			continue
-		}
-		switch c {
-		case '\'', '"':
-			inStr = c
-		case '(':
-			depth++
-		case ')':
-			depth--
-			if depth == 0 {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
-// parseTerms parses a comma-separated term list: identifiers are
-// variables, integers and quoted strings are constants.
-func parseTerms(text string) ([]datalog.Term, error) {
-	var out []datalog.Term
-	for _, raw := range splitTopLevel(text) {
-		tok := strings.TrimSpace(raw)
-		if tok == "" {
-			return nil, fmt.Errorf("empty term in %q", text)
-		}
-		t, err := ParseTerm(tok)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-// ParseTerm parses a single term token: an identifier (variable), an
-// integer constant, or a quoted string constant.
-func ParseTerm(tok string) (datalog.Term, error) {
-	switch {
-	case len(tok) >= 2 && (tok[0] == '\'' || tok[0] == '"') && tok[len(tok)-1] == tok[0]:
-		return datalog.C(value.String(tok[1 : len(tok)-1])), nil
-	case isInt(tok):
-		n, err := strconv.ParseInt(tok, 10, 64)
-		if err != nil {
-			return datalog.Term{}, fmt.Errorf("bad integer %q: %w", tok, err)
-		}
-		return datalog.C(value.Int(n)), nil
-	case isIdent(tok):
-		return datalog.V(tok), nil
-	default:
-		return datalog.Term{}, fmt.Errorf("bad term %q", tok)
-	}
-}
-
-func splitTopLevel(s string) []string {
-	var parts []string
-	depth, start := 0, 0
-	inStr := byte(0)
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if inStr != 0 {
-			if c == inStr {
-				inStr = 0
-			}
-			continue
-		}
-		switch c {
-		case '\'', '"':
-			inStr = c
-		case '(':
-			depth++
-		case ')':
-			depth--
-		case ',':
-			if depth == 0 {
-				parts = append(parts, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	if strings.TrimSpace(s) != "" || len(parts) > 0 {
-		parts = append(parts, s[start:])
-	}
-	return parts
-}
-
-func isInt(s string) bool {
-	if s == "" {
-		return false
-	}
-	i := 0
-	if s[0] == '-' || s[0] == '+' {
-		i = 1
-		if len(s) == 1 {
-			return false
-		}
-	}
-	for ; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
-			return false
-		}
-	}
-	return true
-}
-
-func isIdent(s string) bool {
-	for i, r := range s {
-		switch {
-		case unicode.IsLetter(r) || r == '_':
-		case i > 0 && (unicode.IsDigit(r) || r == '$'):
-		default:
-			return false
-		}
-	}
-	return s != ""
+	return atoms, nil
 }

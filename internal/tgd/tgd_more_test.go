@@ -119,13 +119,21 @@ func TestParseAtomsExported(t *testing.T) {
 }
 
 func TestParseTermErrors(t *testing.T) {
-	for _, tok := range []string{"", "9x", "'unterminated", "x-y"} {
-		if _, err := ParseTerm(tok); err == nil {
-			t.Errorf("ParseTerm(%q) accepted", tok)
+	parseTerm := func(text string) (datalog.Term, error) {
+		s := Scan(text)
+		term, err := s.Term()
+		if err == nil {
+			err = s.ExpectDone()
+		}
+		return term, err
+	}
+	for _, tok := range []string{"", "9x", "'unterminated", "x-y", `"bad \q escape"`} {
+		if _, err := parseTerm(tok); err == nil {
+			t.Errorf("term %q accepted", tok)
 		}
 	}
 	// Valid edge cases.
-	term, err := ParseTerm("x9$")
+	term, err := parseTerm("x9$")
 	if err != nil || term.Var != "x9$" {
 		t.Fatalf("ident with digits/$: %v %v", term, err)
 	}

@@ -23,13 +23,12 @@ type Condition struct {
 	// Raw is the predicate as entered for distrust conditions (Accept
 	// stores its negation); renderers re-emit the original form from it.
 	Raw *Pred
-	src string
 }
 
-// String renders the condition as entered.
+// String renders the condition.
 func (c *Condition) String() string {
-	if c.src != "" {
-		return c.src
+	if c.Distrust && c.Raw != nil {
+		return fmt.Sprintf("distrusts %s when %s", c.Mapping, c.Raw)
 	}
 	verb := "trusts"
 	if c.Distrust {
@@ -96,30 +95,14 @@ func (p *Policy) TrustMapping(mapping string, pred *Pred) {
 // rejected when pred holds (i.e. accepted iff ¬pred). With the trivial
 // predicate the whole mapping is distrusted.
 func (p *Policy) DistrustMapping(mapping string, pred *Pred) {
-	p.AddCondition(&Condition{Mapping: mapping, Accept: negate(pred), Distrust: true, Raw: pred,
-		src: fmt.Sprintf("distrusts %s when %s", mapping, pred)})
+	p.AddCondition(&Condition{Mapping: mapping, Accept: negate(pred), Distrust: true, Raw: pred})
 }
 
 // negate wraps a predicate into its complement. Negation of a conjunction
 // of comparisons is evaluated functionally (we keep the clause list and
-// flip the verdict) — adequate because Pred evaluation is total.
-func negate(pred *Pred) *Pred {
-	if pred.Trivial() {
-		// ¬true = false: a predicate with an unsatisfiable clause.
-		return &Pred{
-			clauses: []comparison{{
-				lhs: operand{c: value.Int(0)},
-				rhs: operand{c: value.Int(1)},
-				op:  OpEq,
-			}},
-			src: "false",
-		}
-	}
-	neg := &Pred{src: "not(" + pred.src + ")"}
-	neg.clauses = nil
-	neg.negated = pred
-	return neg
-}
+// flip the verdict) — adequate because Pred evaluation is total. ¬true
+// is the unsatisfiable predicate of a whole-mapping distrust.
+func negate(pred *Pred) *Pred { return &Pred{negated: pred} }
 
 // DistrustBase marks base tuples of rel matching pred as distrusted.
 func (p *Policy) DistrustBase(rel string, pred *Pred) {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strings"
 
+	"orchestra/internal/datalog"
 	"orchestra/internal/tgd"
 	"orchestra/internal/value"
 )
@@ -33,39 +34,26 @@ var opNames = map[Op]string{
 
 func (o Op) String() string { return opNames[o] }
 
-// operand is a variable reference or a constant.
-type operand struct {
-	isVar bool
-	v     string
-	c     value.Value
-}
-
-func (o operand) String() string {
-	if o.isVar {
-		return o.v
-	}
-	return o.c.String()
-}
-
-func (o operand) eval(env value.Env) (value.Value, bool) {
-	if !o.isVar {
-		return o.c, true
-	}
-	return env.Lookup(o.v)
-}
-
-// comparison is one "lhs op rhs" clause.
+// comparison is one "lhs op rhs" clause; each side is a variable or a
+// constant.
 type comparison struct {
-	lhs, rhs operand
+	lhs, rhs datalog.Term
 	op       Op
 }
 
+func operand(t datalog.Term, env value.Env) (value.Value, bool) {
+	if t.Kind == datalog.TermVar {
+		return env.Lookup(t.Var)
+	}
+	return t.Const, true
+}
+
 func (c comparison) eval(env value.Env) bool {
-	l, ok := c.lhs.eval(env)
+	l, ok := operand(c.lhs, env)
 	if !ok {
 		return false
 	}
-	r, ok := c.rhs.eval(env)
+	r, ok := operand(c.rhs, env)
 	if !ok {
 		return false
 	}
@@ -94,27 +82,48 @@ func (c comparison) eval(env value.Env) bool {
 type Pred struct {
 	clauses []comparison
 	negated *Pred
-	src     string
 }
 
 // True is the always-true predicate.
-var True = &Pred{src: "true"}
+var True = &Pred{}
+
+// opTexts spells every comparison operator ParsePred reads.
+var opTexts = map[string]Op{
+	"=": OpEq, "==": OpEq, "!=": OpNe, "<>": OpNe,
+	"<": OpLt, "<=": OpLe, ">": OpGt, ">=": OpGe,
+}
 
 // ParsePred parses "cmp (and cmp)*" where cmp is "term op term", term is
-// a variable name, integer, or quoted string, and op ∈ {=, ==, !=, <>, <,
+// a variable name, integer, or string literal, and op ∈ {=, ==, !=, <>, <,
 // <=, >, >=}. The empty string and "true" parse to the trivial predicate.
 func ParsePred(input string) (*Pred, error) {
-	src := strings.TrimSpace(input)
-	if src == "" || strings.EqualFold(src, "true") {
+	if src := strings.TrimSpace(input); src == "" || strings.EqualFold(src, "true") {
 		return True, nil
 	}
-	p := &Pred{src: src}
-	for _, clause := range splitAnd(src) {
-		cmp, err := parseComparison(clause)
-		if err != nil {
-			return nil, err
+	s := tgd.Scan(input)
+	p := &Pred{}
+	for {
+		var c comparison
+		var err error
+		if c.lhs, err = s.Term(); err != nil {
+			return nil, fmt.Errorf("trust: %w in %q", err, input)
 		}
-		p.clauses = append(p.clauses, cmp)
+		op := s.Next()
+		var ok bool
+		if c.op, ok = opTexts[op.Text]; !ok || op.Kind != tgd.Punct {
+			return nil, fmt.Errorf("trust: no comparison operator at %s in %q", op, input)
+		}
+		if c.rhs, err = s.Term(); err != nil {
+			return nil, fmt.Errorf("trust: %w in %q", err, input)
+		}
+		p.clauses = append(p.clauses, c)
+		if t := s.Peek(); t.Kind != tgd.Ident || !strings.EqualFold(t.Text, "and") {
+			break
+		}
+		s.Next()
+	}
+	if err := s.ExpectDone(); err != nil {
+		return nil, fmt.Errorf("trust: %w in %q", err, input)
 	}
 	return p, nil
 }
@@ -126,61 +135,6 @@ func MustParsePred(input string) *Pred {
 		panic(err)
 	}
 	return p
-}
-
-func splitAnd(s string) []string {
-	var out []string
-	rest := s
-	for {
-		lower := strings.ToLower(rest)
-		i := strings.Index(lower, " and ")
-		if i < 0 {
-			out = append(out, strings.TrimSpace(rest))
-			return out
-		}
-		out = append(out, strings.TrimSpace(rest[:i]))
-		rest = rest[i+5:]
-	}
-}
-
-func parseComparison(s string) (comparison, error) {
-	// Longest operators first so "<=" is not parsed as "<".
-	for _, cand := range []struct {
-		text string
-		op   Op
-	}{
-		{"<=", OpLe}, {">=", OpGe}, {"!=", OpNe}, {"<>", OpNe}, {"==", OpEq},
-		{"=", OpEq}, {"<", OpLt}, {">", OpGt},
-	} {
-		i := strings.Index(s, cand.text)
-		if i < 0 {
-			continue
-		}
-		lhs, err := parseOperand(strings.TrimSpace(s[:i]))
-		if err != nil {
-			return comparison{}, fmt.Errorf("trust: %w in %q", err, s)
-		}
-		rhs, err := parseOperand(strings.TrimSpace(s[i+len(cand.text):]))
-		if err != nil {
-			return comparison{}, fmt.Errorf("trust: %w in %q", err, s)
-		}
-		return comparison{lhs: lhs, rhs: rhs, op: cand.op}, nil
-	}
-	return comparison{}, fmt.Errorf("trust: no comparison operator in %q", s)
-}
-
-func parseOperand(tok string) (operand, error) {
-	if tok == "" {
-		return operand{}, fmt.Errorf("empty operand")
-	}
-	t, err := tgd.ParseTerm(tok)
-	if err != nil {
-		return operand{}, err
-	}
-	if t.Var != "" {
-		return operand{isVar: true, v: t.Var}, nil
-	}
-	return operand{c: t.Const}, nil
 }
 
 // Eval evaluates the predicate under a variable binding. Unbound variables
@@ -234,10 +188,10 @@ func (p *Pred) Vars() []string {
 	}
 	seen := make(map[string]bool)
 	var out []string
-	add := func(o operand) {
-		if o.isVar && !seen[o.v] {
-			seen[o.v] = true
-			out = append(out, o.v)
+	add := func(t datalog.Term) {
+		if t.Kind == datalog.TermVar && !seen[t.Var] {
+			seen[t.Var] = true
+			out = append(out, t.Var)
 		}
 	}
 	for _, c := range p.clauses {
@@ -247,5 +201,22 @@ func (p *Pred) Vars() []string {
 	return out
 }
 
-// String returns the source form of the predicate.
-func (p *Pred) String() string { return p.src }
+// String renders the predicate from its clauses, "lhs op rhs" joined by
+// " and ", so ParsePred reads it back to the same predicate. A negation
+// renders as "not(…)", for display only.
+func (p *Pred) String() string {
+	if p.negated != nil {
+		return "not(" + p.negated.String() + ")"
+	}
+	if len(p.clauses) == 0 {
+		return "true"
+	}
+	var b strings.Builder
+	for i, c := range p.clauses {
+		if i > 0 {
+			b.WriteString(" and ")
+		}
+		fmt.Fprintf(&b, "%s %s %s", c.lhs, c.op, c.rhs)
+	}
+	return b.String()
+}

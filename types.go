@@ -3,11 +3,9 @@ package orchestra
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"orchestra/internal/benchharness"
 	"orchestra/internal/core"
-	"orchestra/internal/datalog"
 	"orchestra/internal/engine"
 	"orchestra/internal/evolve"
 	"orchestra/internal/spec"
@@ -76,16 +74,13 @@ func MakeTuple(vals ...any) Tuple { return core.MakeTuple(vals...) }
 // ParseTuple parses a comma-separated constant tuple, e.g. "3,2" or
 // "3,'x'".
 func ParseTuple(text string) (Tuple, error) {
-	var t Tuple
-	for _, tok := range strings.Split(text, ",") {
-		term, err := tgd.ParseTerm(strings.TrimSpace(tok))
-		if err != nil {
-			return nil, err
-		}
-		if term.Kind != datalog.TermConst {
-			return nil, fmt.Errorf("orchestra: tuple component %q is not a constant", tok)
-		}
-		t = append(t, term.Const)
+	s := tgd.Scan(text)
+	t, err := s.Tuple()
+	if err == nil {
+		err = s.ExpectDone()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("orchestra: tuple %q: %w", text, err)
 	}
 	return t, nil
 }
