@@ -32,9 +32,11 @@ lint: bin/orchestralint
 	@# test-only provenance wrappers and §4.1.3 inverse program (the
 	@# inverse program is a test oracle in internal/core), the history
 	@# replay of base-trust changes (base trust is a filter on the (ℓR)
-	@# rule), and the per-operation evolution methods and op switch
-	@# (View.Evolve makes one repair per diff).
-	@if grep -rnE 'FetchSince|CursorFromTotal|AdaptBus|LegacyBus|"/since"|WithBackend|WithDeletionStrategy|WithMaxIterations|WithSplitProvTables|WithExchangeCoalescing|CompareBenchReports|RunBenchCases|LoadBenchReport|\bWithParallelism\b|NewCDSS|RestoreInto|TrustEval|RankTrust|DerivationCounts|SupportDeclarative|InverseProgram|replayViewLocked|BaseTrustChanged|trustsBase|\b(Recompile|AddMappings|RemoveMappings|ApplyTrust|applyOpLocked)\(' \
+	@# rule), the per-operation evolution methods and op switch
+	@# (View.Evolve makes one repair per diff), the test-only serial
+	@# exchange switch (the equivalence tests replay through the public
+	@# API), and the publish callback (push delivery is the one wake-up).
+	@if grep -rnE 'FetchSince|CursorFromTotal|AdaptBus|LegacyBus|"/since"|WithBackend|WithDeletionStrategy|WithMaxIterations|WithSplitProvTables|WithExchangeCoalescing|CompareBenchReports|RunBenchCases|LoadBenchReport|\bWithParallelism\b|NewCDSS|RestoreInto|TrustEval|RankTrust|DerivationCounts|SupportDeclarative|InverseProgram|replayViewLocked|BaseTrustChanged|trustsBase|\b(Recompile|AddMappings|RemoveMappings|ApplyTrust|applyOpLocked)\(|serialExchange|withSerialExchange|OnPublish' \
 		--include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . ; then \
 		echo "lint: removed surface reappeared (see above)"; exit 1; fi
 

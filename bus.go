@@ -162,14 +162,6 @@ func (s *BusServer) PersistTo(path string) (int, error) {
 	return len(pubs), nil
 }
 
-// OnPublish registers a callback invoked after every accepted
-// publication. It runs on the serving goroutine, so it must be fast and
-// non-blocking — typically a non-blocking send on a wake-up channel
-// that an exchange loop drains, coalescing publication bursts into one
-// exchange pass (cmd/orchestrad's exchange-on-publish does exactly
-// this).
-func (s *BusServer) OnPublish(fn func()) { s.srv.OnPublish(fn) }
-
 // ServeHTTP implements http.Handler.
 func (s *BusServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.srv.ServeHTTP(w, r)

@@ -528,21 +528,13 @@ func (d *daemon) exchangeOnce(ctx context.Context) error {
 
 // runExchangeLoop drives the maintained views until ctx is done.
 // After the initial warming pass it subscribes to the bus
-// (System.StartPush): each publication streamed in — local or, with
-// -bus, from the remote node — triggers an immediate coalesced import,
-// so followers converge with sub-second latency instead of waiting out
-// the -refresh ticker. The ticker stays on as a safety net (and as the
-// only driver when the bus has no subscription capability), and
-// exchange-on-publish wake-ups still coalesce through a 1-buffered
-// channel for publications accepted by this daemon's own service.
+// (System.StartPush): each publication streamed in — accepted by this
+// daemon's own service or, with -bus, by the remote node — triggers an
+// immediate coalesced import, so views converge with sub-second latency
+// instead of waiting out the -refresh ticker. The ticker stays on as a
+// safety net across stream outages, and as the only driver when the bus
+// has no subscription capability.
 func (d *daemon) runExchangeLoop(ctx context.Context) {
-	kick := make(chan struct{}, 1)
-	d.srv.OnPublish(func() {
-		select {
-		case kick <- struct{}{}:
-		default:
-		}
-	})
 	if err := d.exchangeOnce(ctx); err != nil && ctx.Err() == nil {
 		d.cfg.logger.Error("initial exchange", "err", err)
 	}
@@ -558,7 +550,6 @@ func (d *daemon) runExchangeLoop(ctx context.Context) {
 		select {
 		case <-ctx.Done():
 			return
-		case <-kick:
 		case <-ticker.C:
 		}
 		if err := d.exchangeOnce(ctx); err != nil && ctx.Err() == nil {

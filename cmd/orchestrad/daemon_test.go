@@ -3,11 +3,13 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -465,5 +467,78 @@ func TestRequestLogCarriesTraceID(t *testing.T) {
 	}
 	if lc.line(`"path":"/publish"`, `"trace_id":"`+traceID+`"`) == "" {
 		t.Fatalf("publish access record missing trace id %s:\n%s", traceID, lc.joined())
+	}
+}
+
+// TestLocalPublishWakesOnlyPush pins one wake-up per local publication:
+// the push subscription (System.StartPush) already delivers every
+// publication this daemon's own service accepts, so after the warming
+// pass no exchange_all pass and no bus fetch may run until the -refresh
+// ticker fires — every view imports each publication from its push
+// buffer.
+func TestLocalPublishWakesOnlyPush(t *testing.T) {
+	d, ts, lc := startDaemon(t, daemonConfig{statePath: t.TempDir(), viewOwner: "all"})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		d.runExchangeLoop(ctx)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+	waitFor(t, "push streaming", func() bool { return lc.line("push streaming enabled") != "" })
+	const allPasses = `orchestra_exchange_passes_total{kind="exchange_all"}`
+	const fetches = "orchestra_exchange_fetch_calls_total"
+	warmPasses, warmFetches := metric(t, ts, allPasses), metric(t, ts, fetches)
+
+	const n, views = 5, 3 // PGUS, PBioSQL and the global view
+	bus := orchestra.NewHTTPBus(ts.URL)
+	for i := 1; i <= n; i++ {
+		if err := bus.Append(context.Background(), "PGUS", orchestra.EditLog{orchestra.Ins("G", orchestra.MakeTuple(i, i, i))}); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, fmt.Sprintf("publication %d in every view", i), func() bool {
+			return metric(t, ts, "orchestra_exchange_publications_total") == float64(views*i)
+		})
+	}
+	if got := metric(t, ts, allPasses); got != warmPasses {
+		t.Fatalf("%s = %v after %d local publishes, want the post-warm-up %v", allPasses, got, n, warmPasses)
+	}
+	if got := metric(t, ts, fetches); got != warmFetches {
+		t.Fatalf("%s = %v after %d local publishes, want the post-warm-up %v", fetches, got, n, warmFetches)
+	}
+	if got := metric(t, ts, "orchestra_exchange_push_deltas_total"); got != float64(views*n) {
+		t.Fatalf("push deltas = %v, want %d", got, views*n)
+	}
+}
+
+// metric reads one series' value off the daemon's /metrics page.
+func metric(t *testing.T, ts *httptest.Server, series string) float64 {
+	t.Helper()
+	_, body := get(t, ts.URL+"/metrics")
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("metric %s: %v", series, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("metrics missing %s:\n%s", series, body)
+	return 0
+}
+
+// waitFor polls cond until it holds, failing the test after 10s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -40,11 +40,12 @@
 // maintains a materialized view of the confederation (the -view owner;
 // default the global trust-all view, or "all" for every peer's view
 // plus the global one), and serves the curated instances at
-// GET /instance?rel=R[&owner=P]. Views exchange on publish — every
-// accepted publication wakes the exchange loop, which imports the whole
-// pending run as one coalesced pass — with the -refresh ticker as a
-// fallback; "-view all" runs the per-view passes concurrently through
-// the exchange scheduler (bounded by -exchange-parallelism). Completed
+// GET /instance?rel=R[&owner=P]. Views exchange on publish — the views
+// subscribe to the bus (GET /watch), and every streamed publication
+// wakes one push pass that imports the pending run as one coalesced
+// apply — with the -refresh ticker as a fallback; "-view all" runs the
+// per-view passes concurrently through the exchange scheduler (bounded
+// by -exchange-parallelism). Completed
 // exchanges checkpoint into the state directory; on restart each view
 // is recovered from its snapshot and fast-forwarded past its persisted
 // cursor instead of re-exchanging from publication zero.

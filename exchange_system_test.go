@@ -25,12 +25,41 @@ func withBackend(be engine.Backend) Option {
 	return func(c *config) { c.opts.Backend = be }
 }
 
-// withSerialExchange reverts exchange passes to the reference
-// one-apply-per-publication replay — the oracle the exchange equivalence
-// property compares coalesced passes against. Like
-// withLegacyQueryPlanner, it is private to the tests.
-func withSerialExchange() Option {
-	return func(c *config) { c.serialExchange = true }
+// newReplaySystem builds the exchange equivalence properties' reference
+// System: serial, with its global view materialized up front, so that
+// publishAndReplay can exchange every view after each publication.
+func newReplaySystem(t *testing.T, spec *Spec, be engine.Backend) *System {
+	t.Helper()
+	ref, err := New(spec, withBackend(be), WithExchangeParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Exchange(context.Background(), ""); err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// publishAndReplay publishes one publication on a reference System and
+// at once exchanges every view, the global one included. Each of those
+// passes applies exactly that one publication, so the reference follows
+// the one-update-at-a-time semantics that a coalesced pass over any run
+// must match.
+func publishAndReplay(t *testing.T, ref *System, p Publication) {
+	t.Helper()
+	ctx := context.Background()
+	if err := ref.Publish(ctx, p.Peer, p.Log); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := ref.ExchangeAll(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for owner, st := range stats {
+		if st.Publications != 1 {
+			t.Fatalf("reference pass of view %q applied %d publications, want 1", owner, st.Publications)
+		}
+	}
 }
 
 // exchangeWorkload builds a small confederation and a deterministic
@@ -81,9 +110,9 @@ func publishAll(t *testing.T, sys *System, pubs []Publication) {
 // TestExchangeEquivalence is the exchange equivalence property: for
 // random workloads, parallel+coalesced exchange ends observationally
 // identical — instances, rejections, provenance derivations, and a
-// consistent labeled-null bijection — to the reference serial
-// per-publication replay over the same publication history, regardless
-// of how the two systems' intermediate exchanges interleave with the
+// consistent labeled-null bijection — to the reference that applies
+// one publication per pass (publishAndReplay) over the same publication
+// history, wherever the parallel system's exchanges fall between the
 // publications. Runs on both backends; raise ORCHESTRA_EXCHANGE_SEEDS
 // for a deeper sweep (the nightly CI job does).
 func TestExchangeEquivalence(t *testing.T) {
@@ -119,32 +148,21 @@ func runExchangeEquivalence(t *testing.T, be engine.Backend, seed int64) {
 	ctx := context.Background()
 	w, pubs := exchangeWorkload(t, seed)
 
-	ref, err := New(w.Spec, withBackend(be),
-		withSerialExchange(), WithExchangeParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newReplaySystem(t, w.Spec, be)
 	par, err := New(w.Spec, withBackend(be), WithExchangeParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Interleave publications with partial exchanges — deliberately
-	// different interleavings per system, so the coalesced runs
-	// [cursor, horizon) the parallel system sees differ from the
-	// reference's per-publication steps. The final state must not care.
+	// Interleave publications with partial exchanges of the parallel
+	// system, so the coalesced runs [cursor, horizon) it sees are random
+	// multi-publication stretches of the reference's one-publication
+	// steps. The final state must not care.
 	rng := rand.New(rand.NewSource(seed * 31))
 	for _, p := range pubs {
-		for _, sys := range []*System{ref, par} {
-			if err := sys.Publish(ctx, p.Peer, p.Log); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if rng.Intn(3) == 0 {
-			owner := w.PeerNames()[rng.Intn(len(w.PeerNames()))]
-			if _, err := ref.Exchange(ctx, owner); err != nil {
-				t.Fatal(err)
-			}
+		publishAndReplay(t, ref, p)
+		if err := par.Publish(ctx, p.Peer, p.Log); err != nil {
+			t.Fatal(err)
 		}
 		if rng.Intn(3) == 0 {
 			if _, err := par.ExchangeAll(ctx); err != nil {
@@ -152,14 +170,9 @@ func runExchangeEquivalence(t *testing.T, be engine.Backend, seed int64) {
 			}
 		}
 	}
-	// Materialize the global views too, then fully catch both systems up.
-	if _, err := ref.Exchange(ctx, ""); err != nil {
-		t.Fatal(err)
-	}
+	// Materialize the parallel system's global view over the whole
+	// history, then fully catch it up.
 	if _, err := par.Exchange(ctx, ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.ExchangeAll(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := par.ExchangeAll(ctx); err != nil {
@@ -265,24 +278,21 @@ trust PBioSQL distrusts base G when id >= 3
 		{Peer: "PGUS", Log: EditLog{Ins("G", MakeTuple(6, 1, 1)), Del("G", MakeTuple(6, 1, 1))}},
 	}
 	for _, be := range testBackends {
-		ref, err := New(parsed.Spec, withBackend(be),
-			withSerialExchange(), WithExchangeParallelism(1))
-		if err != nil {
-			t.Fatal(err)
+		ref := newReplaySystem(t, parsed.Spec, be)
+		for _, p := range pubs {
+			publishAndReplay(t, ref, p)
 		}
 		par, err := New(parsed.Spec, withBackend(be), WithExchangeParallelism(4))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctx := context.Background()
-		for _, sys := range []*System{ref, par} {
-			publishAll(t, sys, pubs)
-			if _, err := sys.Exchange(ctx, ""); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sys.ExchangeAll(ctx); err != nil {
-				t.Fatal(err)
-			}
+		publishAll(t, par, pubs)
+		if _, err := par.Exchange(ctx, ""); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := par.ExchangeAll(ctx); err != nil {
+			t.Fatal(err)
 		}
 		assertStatesEqual(t, "base-trust parallel+coalesced vs serial replay",
 			captureState(t, par), captureState(t, ref))

@@ -270,28 +270,18 @@ func PublishTo(ctx context.Context, bus BusAppender, spec *Spec, peer string, lo
 // bus's horizon.
 //
 // This is the reference replay: ExchangeCoalesced imports the same run
-// as one net apply and must end observationally identical (the exchange
-// equivalence property test compares the two).
+// as one net apply and must end observationally identical.
 func ExchangeInto(ctx context.Context, bus PublicationBus, v *View, from Cursor, strategy DeletionStrategy) (Cursor, ApplyStats, error) {
-	fetchStart := time.Now()
-	deltas, next, err := bus.Fetch(ctx, from)
-	fetchNS := time.Since(fetchStart).Nanoseconds()
+	deltas, next, stats, err := fetchRun(ctx, bus, from)
 	if err != nil {
-		return from, ApplyStats{FetchNS: fetchNS}, err
+		return from, stats, err
 	}
-	stats := ApplyStats{FetchNS: fetchNS, FetchCalls: 1, FetchPublications: len(deltas)}
 	cur := from
-	for _, d := range deltas {
-		s, err := v.ApplyEdits(ctx, d.Pub.Log, strategy)
-		stats.Add(s)
-		if err != nil {
+	for i, d := range deltas {
+		if err := applyRun(ctx, v, deltas[i:i+1], strategy, &stats); err != nil {
 			return cur, stats, err
 		}
 		cur = cur.Advance(d)
-		stats.Publications++
-		if d.Pub.TraceID != "" {
-			stats.TraceIDs = append(stats.TraceIDs, d.Pub.TraceID)
-		}
 	}
 	return next, stats, nil
 }
@@ -322,10 +312,8 @@ func MergeLogs(deltas []Delta) EditLog {
 
 // ExchangeCoalesced imports the pending run [from, horizon) in one
 // coalesced pass: the publications' edit logs are merged (MergeLogs)
-// and applied as a single net maintenance operation — one NetEffect
-// (which cancels insert+delete pairs before any propagation runs), one
-// deletion cascade, one insertion fixpoint — instead of len(run)
-// sequential ones.
+// and applied as a single net maintenance operation instead of
+// len(run) sequential ones.
 //
 // Unlike ExchangeInto, the pass is all-or-nothing: on error (including
 // cancellation) the cursor does not advance at all. Retrying is still
@@ -333,35 +321,20 @@ func MergeLogs(deltas []Delta) EditLog {
 // retried NetEffect a no-op for that prefix, and the view's dirty-
 // repair machinery restores derived state before the retry propagates.
 func ExchangeCoalesced(ctx context.Context, bus PublicationBus, v *View, from Cursor, strategy DeletionStrategy) (Cursor, ApplyStats, error) {
-	fetchStart := time.Now()
-	deltas, next, err := bus.Fetch(ctx, from)
-	fetchNS := time.Since(fetchStart).Nanoseconds()
-	if err != nil {
-		return from, ApplyStats{FetchNS: fetchNS}, err
+	deltas, next, stats, err := fetchRun(ctx, bus, from)
+	if err == nil {
+		err = applyRun(ctx, v, deltas, strategy, &stats)
 	}
-	if len(deltas) == 0 {
-		return next, ApplyStats{FetchNS: fetchNS, FetchCalls: 1}, nil
-	}
-	stats, err := v.ApplyEdits(ctx, MergeLogs(deltas), strategy)
-	stats.FetchNS += fetchNS
-	stats.FetchCalls++
-	stats.FetchPublications += len(deltas)
 	if err != nil {
 		return from, stats, err
-	}
-	stats.Publications = len(deltas)
-	for _, d := range deltas {
-		if d.Pub.TraceID != "" {
-			stats.TraceIDs = append(stats.TraceIDs, d.Pub.TraceID)
-		}
 	}
 	return next, stats, nil
 }
 
 // ExchangeDeltas imports push-delivered deltas into a view as one
-// coalesced pass, without touching the bus. It is the subscription-path
-// twin of ExchangeCoalesced and the reason a pushed publication needs
-// no fetch: the deltas were already transferred by the subscription.
+// coalesced pass, without touching the bus: the deltas were already
+// transferred by the subscription, so a pushed publication needs no
+// fetch.
 //
 // Gap detection makes it safe to apply deltas out of a buffer: a delta
 // is included only if its shard position is exactly the next one the
@@ -385,21 +358,51 @@ func ExchangeDeltas(ctx context.Context, v *View, from Cursor, deltas []Delta, s
 			return from, ApplyStats{}, false, nil
 		}
 	}
-	if len(run) == 0 {
-		return cur, ApplyStats{}, true, nil
-	}
-	stats, err := v.ApplyEdits(ctx, MergeLogs(run), strategy)
-	if err != nil {
+	var stats ApplyStats
+	if err := applyRun(ctx, v, run, strategy, &stats); err != nil {
 		return from, stats, true, err
 	}
-	stats.Publications = len(run)
 	stats.PushDeltas = len(run)
+	return cur, stats, true, nil
+}
+
+// fetchRun reads the pending run [from, horizon) off the bus and starts
+// its stats with the fetch's accounting.
+func fetchRun(ctx context.Context, bus BusReader, from Cursor) ([]Delta, Cursor, ApplyStats, error) {
+	start := time.Now()
+	deltas, next, err := bus.Fetch(ctx, from)
+	stats := ApplyStats{FetchNS: time.Since(start).Nanoseconds()}
+	if err != nil {
+		return nil, from, stats, err
+	}
+	stats.FetchCalls = 1
+	stats.FetchPublications = len(deltas)
+	return deltas, next, stats, nil
+}
+
+// applyRun is the one apply step of every exchange entry point: it
+// merges a run of deltas in global order (MergeLogs), applies the
+// merged log to v as one maintenance operation — one NetEffect (which
+// cancels insert+delete pairs before any propagation runs), one
+// deletion cascade, one insertion fixpoint — and adds the operation to
+// stats, counting the run's publications and trace ids only once the
+// apply succeeded. An empty run applies nothing.
+func applyRun(ctx context.Context, v *View, run []Delta, strategy DeletionStrategy, stats *ApplyStats) error {
+	if len(run) == 0 {
+		return nil
+	}
+	s, err := v.ApplyEdits(ctx, MergeLogs(run), strategy)
+	stats.Add(s)
+	if err != nil {
+		return err
+	}
+	stats.Publications += len(run)
 	for _, d := range run {
 		if d.Pub.TraceID != "" {
 			stats.TraceIDs = append(stats.TraceIDs, d.Pub.TraceID)
 		}
 	}
-	return cur, stats, true, nil
+	return nil
 }
 
 // ValidateLog checks that an edit log is legal for a peer under a spec:

@@ -99,6 +99,13 @@ func TestEditString(t *testing.T) {
 	if Del("R", MakeTuple(1)).String() != "-R(1)" {
 		t.Fatal("delete render")
 	}
+	// A string constant prints quoted, never as the integer it spells.
+	if got := Ins("R", MakeTuple("5")).String(); got != `+R("5")` {
+		t.Fatalf("string render = %s", got)
+	}
+	if got := MakeTuple(5, "5").String(); got != `(5, "5")` {
+		t.Fatalf("mixed tuple render = %s", got)
+	}
 }
 
 // NetEffect must be a no-op for logs that cancel themselves out.

@@ -132,10 +132,7 @@ func newInverseOracle(t *testing.T, live *View) *inverseOracle {
 		}
 	}
 
-	o.ev, err = engine.New(o.prog, v.db, v.sk, engine.Options{
-		Backend:       v.opts.Backend,
-		MaxIterations: v.opts.MaxIterations,
-	})
+	o.ev, err = engine.New(o.prog, v.db, v.sk, engine.Options{Backend: v.opts.Backend})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -715,9 +715,8 @@ func (v *View) ensureChk() error {
 		}
 	}
 	ev, err := engine.New(v.prog, v.chkDB, v.sk, engine.Options{
-		Backend:       v.opts.Backend,
-		MaxIterations: v.opts.MaxIterations,
-		Parallelism:   v.opts.Parallelism,
+		Backend:     v.opts.Backend,
+		Parallelism: v.opts.Parallelism,
 	})
 	if err != nil {
 		return err

@@ -20,8 +20,6 @@ type Options struct {
 	// Backend selects the physical engine (§5's DB2-style hash backend or
 	// Tukwila-style indexed backend).
 	Backend engine.Backend
-	// MaxIterations bounds fixpoint loops (0 = engine default).
-	MaxIterations int
 	// Parallelism bounds the worker pool evaluating the rules of one
 	// semi-naive round concurrently (0 = GOMAXPROCS, 1 = sequential).
 	// Results are identical at every setting; see engine.Options.
@@ -263,9 +261,8 @@ func (v *View) compile() error {
 	}
 
 	ev, err := engine.New(v.prog, v.db, v.sk, engine.Options{
-		Backend:       opts.Backend,
-		MaxIterations: opts.MaxIterations,
-		Parallelism:   opts.Parallelism,
+		Backend:     opts.Backend,
+		Parallelism: opts.Parallelism,
 	})
 	if err != nil {
 		return err

@@ -5,14 +5,17 @@
 // others' published updates): each view owns its database, its
 // labeled-null interner, and its bus cursor, and the bus itself is
 // safe for concurrent readers. A Scheduler therefore runs the per-view
-// maintenance passes concurrently over a bounded worker pool; inside
-// each pass the pending run of publications is coalesced into one net
-// apply (core.ExchangeCoalesced) so one semi-naive fixpoint and one
-// deletion cascade replace N sequential ones.
+// maintenance passes concurrently over a bounded worker pool. The
+// orchestra System runs two kinds of pass on it — ExchangeAll and the
+// push pass StartPush wakes per burst — and inside either the view's
+// pending run, pushed (core.ExchangeDeltas) or pulled
+// (core.ExchangeCoalesced), goes through core's one apply step as one
+// net apply, so one semi-naive fixpoint and one deletion cascade
+// replace N sequential ones.
 //
 // The scheduler itself is deliberately dumb — tasks are opaque
 // closures and the result type is generic, so callers (the orchestra
-// System, core's CDSS, the benchmarks) keep their own locking
+// System, the benchmarks) keep their own locking
 // discipline and the package depends on nothing above it. The pool
 // only bounds concurrency and makes error reporting deterministic.
 package exchange

@@ -45,7 +45,7 @@ func TestAppendReplay(t *testing.T) {
 	if len(pubs) != 2 || pubs[0].Peer != "P" || pubs[1].Peer != "Q" {
 		t.Fatalf("pubs: %+v", pubs)
 	}
-	if len(pubs[0].Log) != 2 || pubs[0].Log[0].String() != "+A(1, x)" {
+	if len(pubs[0].Log) != 2 || pubs[0].Log[0].String() != `+A(1, "x")` {
 		t.Fatalf("log content: %v", pubs[0].Log)
 	}
 	if pubs[0].Log[1].Insert || !pubs[0].Log[1].Tuple.Equal(core.MakeTuple(2, "y z")) {

@@ -387,7 +387,7 @@ func TestRefRoundTrip(t *testing.T) {
 	if !r.Tuple().Equal(tup) {
 		t.Fatal("ref tuple round trip")
 	}
-	if r.String() != "B(3, x)" {
+	if r.String() != `B(3, "x")` {
 		t.Fatalf("String = %q", r.String())
 	}
 }

@@ -51,10 +51,6 @@ type Server struct {
 	// frame).
 	Persist func(peer string, log core.EditLog, traceID string) error
 
-	// notify, when non-nil, is called (outside the lock) after each
-	// accepted publication; see OnPublish.
-	notify func()
-
 	metrics  Metrics
 	pubTrace *obs.PubTracer
 }
@@ -84,19 +80,6 @@ func SpecValidator(spec *core.Spec) func(string, core.EditLog) error {
 func (s *Server) SetValidate(fn func(string, core.EditLog) error) {
 	s.mu.Lock()
 	s.Validate = fn
-	s.mu.Unlock()
-}
-
-// OnPublish registers a callback invoked after every accepted
-// publication (validation passed, persistence succeeded, sequence
-// appended). It runs on the serving goroutine outside the server's
-// lock, so it must be fast and non-blocking — typically a non-blocking
-// send on a wake-up channel that an exchange loop drains, coalescing
-// publication bursts into one pass. (/watch subscribers are woken by
-// the bus itself and need no callback.)
-func (s *Server) OnPublish(fn func()) {
-	s.mu.Lock()
-	s.notify = fn
 	s.mu.Unlock()
 }
 
@@ -191,9 +174,6 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.mu.RLock()
-	notify := s.notify
-	s.mu.RUnlock()
 	s.pubTrace.Add(obs.PubRecord{
 		TraceID:  wp.Trace,
 		Peer:     peer,
@@ -203,9 +183,6 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		AppendNS: appendNS,
 		TotalNS:  time.Since(start).Nanoseconds(),
 	})
-	if notify != nil {
-		notify()
-	}
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, `{"cursor":%d,"trace":%q}`, n, wp.Trace)
 }

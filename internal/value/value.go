@@ -87,17 +87,15 @@ func (v Value) NullID() int64 {
 	return v.i
 }
 
-// String renders v for display: integers as decimal, strings quoted when
-// they contain spaces, labeled nulls as ⊥n.
+// String renders v for display: integers as decimal, strings always
+// quoted (so the string "5" never prints as the integer 5), labeled
+// nulls as ⊥n.
 func (v Value) String() string {
 	switch v.kind {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindString:
-		if strings.ContainsAny(v.s, " ,()") || v.s == "" {
-			return strconv.Quote(v.s)
-		}
-		return v.s
+		return strconv.Quote(v.s)
 	case KindNull:
 		return "⊥" + strconv.FormatInt(v.i, 10)
 	default:

@@ -65,7 +65,8 @@ func TestValueString(t *testing.T) {
 	cases := map[string]Value{
 		"42":      Int(42),
 		"-3":      Int(-3),
-		"abc":     String("abc"),
+		`"abc"`:   String("abc"),
+		`"5"`:     String("5"),
 		`"a b"`:   String("a b"),
 		`""`:      String(""),
 		"⊥9":      Null(9),
@@ -115,7 +116,7 @@ func TestTupleBasics(t *testing.T) {
 	if tp.Equal(Tuple{Int(1), String("x")}) {
 		t.Fatal("arity mismatch equal")
 	}
-	if got := tp.String(); got != "(1, x, ⊥2)" {
+	if got := tp.String(); got != `(1, "x", ⊥2)` {
 		t.Fatalf("String = %q", got)
 	}
 }
@@ -243,7 +244,7 @@ func TestSkolemResolveDescribe(t *testing.T) {
 	if !ok || fn != "g" || len(args) != 2 {
 		t.Fatalf("Resolve = %q %v %v", fn, args, ok)
 	}
-	if got := st.Describe(outer); got != `g(f_m3_c(5),s)` {
+	if got := st.Describe(outer); got != `g(f_m3_c(5),"s")` {
 		t.Fatalf("Describe = %q", got)
 	}
 	if _, _, ok := st.Resolve(999); ok {

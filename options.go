@@ -15,10 +15,6 @@ type config struct {
 	persist  *persistConfig
 	// exchPar bounds ExchangeAll's per-view worker pool (0 = GOMAXPROCS).
 	exchPar int
-	// serialExchange reverts exchange passes to the reference
-	// one-apply-per-publication replay. Only the exchange equivalence
-	// property test sets it, as its oracle (withSerialExchange).
-	serialExchange bool
 	// obs attaches an operations plane (WithObservability).
 	obs *Observability
 	// slowQuery overrides the slow-query threshold (WithSlowQueryThreshold);

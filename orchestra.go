@@ -39,11 +39,8 @@ type System struct {
 	opts    core.Options
 	bus     core.PublicationBus
 	// sched runs ExchangeAll's per-view passes over a bounded worker
-	// pool (WithExchangeParallelism). coalesce selects the coalesced
-	// pass; it is false only in the exchange equivalence test's
-	// reference System, which replays one publication per apply.
-	sched    *exchange.Scheduler[ApplyStats]
-	coalesce bool
+	// pool (WithExchangeParallelism).
+	sched *exchange.Scheduler[ApplyStats]
 
 	// Durability (nil/zero without WithPersistence).
 	persist *persistConfig
@@ -169,12 +166,11 @@ func New(sp *Spec, opts ...Option) (*System, error) {
 		}
 	}
 	s := &System{
-		spec:     sp,
-		opts:     cfg.opts,
-		sched:    exchange.NewScheduler[ApplyStats](cfg.exchPar),
-		coalesce: !cfg.serialExchange,
-		secIdx:   cfg.secIdx,
-		views:    make(map[string]*viewHandle),
+		spec:   sp,
+		opts:   cfg.opts,
+		sched:  exchange.NewScheduler[ApplyStats](cfg.exchPar),
+		secIdx: cfg.secIdx,
+		views:  make(map[string]*viewHandle),
 	}
 	if cfg.persist != nil {
 		// May substitute a durable bus for the default and recovers
@@ -439,16 +435,7 @@ func (s *System) importLocked(ctx context.Context, owner string, h *viewHandle) 
 		// recovery, or deltas dropped while no pass ran): pull instead.
 		// The pulled run subsumes the buffered one.
 	}
-	var (
-		next  core.Cursor
-		stats ApplyStats
-		err   error
-	)
-	if s.coalesce {
-		next, stats, err = core.ExchangeCoalesced(ctx, s.bus, h.view, h.cursor, core.DeleteProvenance)
-	} else {
-		next, stats, err = core.ExchangeInto(ctx, s.bus, h.view, h.cursor, core.DeleteProvenance)
-	}
+	next, stats, err := core.ExchangeCoalesced(ctx, s.bus, h.view, h.cursor, core.DeleteProvenance)
 	if next.Total() < h.cursor.Total() {
 		// Never regress the cursor: with no error this means the bus lost
 		// publications the view already applied; with an error, keeping

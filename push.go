@@ -13,9 +13,11 @@ import (
 // in-process MemoryBus, the durable sharded bus, and the HTTP bus all
 // do) and, for every publication streamed in, buffers the delta on
 // each materialized view and wakes an exchange loop that imports it
-// immediately. Bursts coalesce: the loop runs one pass per burst, over
-// the same scheduler and coalescing policy ExchangeAll uses, so a
-// follower applies publications with sub-second latency without
+// immediately. The subscription is the one wake-up for every
+// publication, including those the caller appended itself, and a
+// pushed delta costs no bus fetch. Bursts coalesce: the loop runs one
+// pass per burst, over the same scheduler and apply step ExchangeAll
+// uses, so a view applies publications with sub-second latency without
 // polling and without full-log replays (a view whose buffer gaps or
 // overflows falls back to one ordinary pull fetch).
 //
